@@ -3,11 +3,11 @@
 Token blocking creates one block per token shared by the two KBs; the
 block's comparison cardinality is ``EF1(t) * EF2(t)``. Block Purging
 removes the stop-word-like blocks whose tokens carry near-zero valueSim
-weight anyway (paper Section 3.3, deferring to [26]); our automatic
-threshold is documented in DESIGN.md section 5: drop blocks whose
-cardinality exceeds ``purge_factor x median cardinality`` (with a floor),
-which removes the Zipf head while provably keeping every block whose
-token could meaningfully contribute to valueSim.
+weight anyway (paper Section 3.3, deferring to [26]). The automatic
+threshold is derived from that weight (DESIGN.md section 5): a block of
+``c`` comparisons gives its token weight ``1/log2(c+1)``, so dropping
+weights below 0.1 caps a block at ``c <= 1023`` comparisons, whatever the
+size of the KB pair.
 """
 from __future__ import annotations
 

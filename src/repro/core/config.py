@@ -19,7 +19,10 @@ class MinoanerConfig:
     N:      most important relations per entity for topNneighbors.
     theta:  value-vs-neighbor trade-off of the rank aggregation rule R3.
     purge_max_comparisons: explicit Block Purging threshold, or None for
-            the automatic median-based threshold (DESIGN.md section 5).
+            the cap derived from the token weight: blocks with more than
+            ``2**(1/0.1) - 1 = 1023`` comparisons carry weight below 0.1
+            and are dropped (``blocking.purge_blocks``, DESIGN.md
+            section 5).
     """
 
     k: int = 2

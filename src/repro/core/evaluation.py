@@ -9,6 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from pyspark.sql import DataFrame
+from pyspark.sql import functions as F
+
+_PAIR = ["eid1", "eid2"]
 
 
 @dataclass(frozen=True)
@@ -31,11 +34,23 @@ class PRF:
 
 
 def evaluate(matches: DataFrame, gt: DataFrame) -> PRF:
-    """Score a set of proposed ``(eid1, eid2)`` pairs against ``gt``."""
-    pairs = matches.select("eid1", "eid2").distinct()
-    n_m = pairs.count()
-    n_gt = gt.select("eid1", "eid2").distinct().count()
-    n_ok = pairs.join(gt, ["eid1", "eid2"]).count()
+    """Score a set of proposed ``(eid1, eid2)`` pairs against ``gt``.
+
+    Both sides are deduplicated, so a pair repeated in either counts once.
+    All three counts come from one aggregation over a full outer join of
+    the two pair sets, i.e. one Spark job.
+    """
+    pairs = matches.select(*_PAIR).distinct().withColumn("_m", F.lit(True))
+    truth = gt.select(*_PAIR).distinct().withColumn("_g", F.lit(True))
+    n_m, n_gt, n_ok = (
+        pairs.join(truth, _PAIR, "full_outer")
+        .agg(
+            F.count("_m"),
+            F.count("_g"),
+            F.count(F.when(F.col("_m") & F.col("_g"), True)),
+        )
+        .collect()[0]
+    )
     p = 100.0 * n_ok / n_m if n_m else 0.0
     r = 100.0 * n_ok / n_gt if n_gt else 0.0
     f1 = 2 * p * r / (p + r) if p + r else 0.0

@@ -1,7 +1,7 @@
 """Disjunctive blocking graph construction (Section 3.2-3.3, Algorithm 1).
 
-The graph is never materialized as an adjacency structure; as in the
-paper, it is represented by per-evidence DataFrames:
+As in the paper, the graph is not an adjacency structure but a set of
+per-evidence DataFrames:
 
 * ``alpha``      — pairs alone in a name block (alpha = 1);
 * ``beta_out1``  — per KB1 entity, its K highest-valueSim candidates
@@ -12,6 +12,13 @@ paper, it is represented by per-evidence DataFrames:
 
 Ranks are dense within each node's list (1 = best), with deterministic
 ties (weight desc, candidate id asc).
+
+``build_graph`` materialises these five frames once, as eager local
+checkpoints: each is a single-leaf plan, so Algorithm 2 plans over the
+pruned graph instead of re-embedding Algorithm 1's lineage in every rule.
+The frames it caches on the way (tokens, beta, gamma) are its own and are
+unpersisted before it returns; the checkpoints live as long as the
+returned ``BlockingGraph`` is referenced.
 """
 from __future__ import annotations
 
@@ -129,17 +136,18 @@ def build_graph(
     Name blocking, token blocking and top-neighbor extraction are
     independent jobs (the parallel branches of the paper's Fig. 4);
     gamma is derived from the pruned beta edges and the in-neighbor
-    index, then pruned per node.
+    index, then pruned per node. The returned edge frames are eager local
+    checkpoints (see the module docstring).
     """
     n1 = triples1.select("eid").distinct().count()
     n2 = triples2.select("eid").distinct().count()
 
     # --- name evidence ----------------------------------------------------
-    name_attrs1 = top_k_name_attrs(triples1, cfg.k)
-    name_attrs2 = top_k_name_attrs(triples2, cfg.k)
+    name_attrs1 = top_k_name_attrs(triples1, cfg.k, n1)
+    name_attrs2 = top_k_name_attrs(triples2, cfg.k, n2)
     names1 = entity_names(triples1, name_attrs1)
     names2 = entity_names(triples2, name_attrs2)
-    alpha = alpha_edges(names1, names2).cache()
+    alpha = alpha_edges(names1, names2).localCheckpoint()
 
     # --- value evidence ---------------------------------------------------
     t1 = literal_tokens(triples1).cache()
@@ -147,8 +155,8 @@ def build_graph(
     index = token_block_index(t1, t2)
     kept, threshold = purge_blocks(index, cfg.purge_max_comparisons)
     beta = beta_scores(t1, t2, kept).cache()
-    beta_out1 = top_k_directed(beta, "eid1", "eid2", "beta", cfg.K).cache()
-    beta_out2 = top_k_directed(beta, "eid2", "eid1", "beta", cfg.K).cache()
+    beta_out1 = top_k_directed(beta, "eid1", "eid2", "beta", cfg.K).localCheckpoint()
+    beta_out2 = top_k_directed(beta, "eid2", "eid1", "beta", cfg.K).localCheckpoint()
 
     # --- neighbor evidence ------------------------------------------------
     imp1 = relation_importance(triples1, n1)
@@ -160,9 +168,13 @@ def build_graph(
         .union(beta_out2.select("eid1", "eid2", "beta"))
         .distinct()
     )
-    gamma = gamma_scores(retained_beta, topin1, topin2)
-    gamma_out1 = top_k_directed(gamma, "eid1", "eid2", "gamma", cfg.K).cache()
-    gamma_out2 = top_k_directed(gamma, "eid2", "eid1", "gamma", cfg.K).cache()
+    gamma = gamma_scores(retained_beta, topin1, topin2).cache()
+    gamma_out1 = top_k_directed(gamma, "eid1", "eid2", "gamma", cfg.K).localCheckpoint()
+    gamma_out2 = top_k_directed(gamma, "eid2", "eid1", "gamma", cfg.K).localCheckpoint()
+
+    # The five edge frames are materialised leaves; nothing reads these again.
+    for df in (t1, t2, beta, gamma):
+        df.unpersist()
 
     return BlockingGraph(
         alpha=alpha,

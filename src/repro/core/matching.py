@@ -157,7 +157,9 @@ def match_graph(
     """Algorithm 2 end to end; rule toggles drive the Table 4 ablation.
 
     Returns ``(eid1, eid2, rule)``. Rules run in order, each skipping
-    entities matched by earlier rules; R4 filters the union.
+    entities matched by earlier rules; R4 filters the union. Each rule's
+    output is an eager local checkpoint, so later rules and the ``matched``
+    exclusions plan over leaves rather than over the rules before them.
     """
     parts: list[DataFrame] = []
     matched: DataFrame | None = None
@@ -170,11 +172,11 @@ def match_graph(
         )
 
     if use_r1:
-        accumulate(rule1(g).cache())
+        accumulate(rule1(g).localCheckpoint())
     if use_r2:
-        accumulate(rule2(g, matched).cache())
+        accumulate(rule2(g, matched).localCheckpoint())
     if use_r3:
-        accumulate(rule3(g, matched, theta, mutual=mutual_r3).cache())
+        accumulate(rule3(g, matched, theta, mutual=mutual_r3).localCheckpoint())
     if not parts:
         return rule1(g).filter(F.lit(False))
     all_matches = parts[0]

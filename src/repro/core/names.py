@@ -44,13 +44,16 @@ def attribute_importance(triples: DataFrame, n_entities: int | None = None) -> D
     )
 
 
-def top_k_name_attrs(triples: DataFrame, k: int) -> list[str]:
+def top_k_name_attrs(
+    triples: DataFrame, k: int, n_entities: int | None = None
+) -> list[str]:
     """The k most important literal attributes of one KB (driver-side list).
 
-    Ties break on attribute name ascending for determinism.
+    Ties break on attribute name ascending for determinism. ``n_entities``
+    (|E|) may be passed to avoid re-counting the KB.
     """
     rows = (
-        attribute_importance(triples)
+        attribute_importance(triples, n_entities)
         .orderBy(F.desc("importance"), F.asc("attr"))
         .limit(k)
         .collect()

@@ -46,3 +46,22 @@ class TestEvaluate:
         gt = gt_df(spark, [(1, 1), (2, 2), (3, 3)])
         row = evaluate(m, gt).row()
         assert row["precision"] == 33.33
+
+    def test_duplicate_truth_counts_once(self, spark):
+        m = gt_df(spark, [(1, 1), (2, 2)])
+        gt = gt_df(spark, [(1, 1), (1, 1), (2, 2)])
+        prf = evaluate(m, gt)
+        assert prf.recall == 100.0
+        assert (prf.n_matches, prf.n_gt, prf.n_correct) == (2, 2, 2)
+
+    def test_empty_truth(self, spark):
+        m = gt_df(spark, [(1, 1), (2, 2)])
+        gt = gt_df(spark, [])
+        prf = evaluate(m, gt)
+        assert (prf.precision, prf.recall, prf.f1) == (0.0, 0.0, 0.0)
+        assert (prf.n_matches, prf.n_gt, prf.n_correct) == (2, 0, 0)
+
+    def test_both_empty(self, spark):
+        prf = evaluate(gt_df(spark, []), gt_df(spark, []))
+        assert (prf.precision, prf.recall, prf.f1) == (0.0, 0.0, 0.0)
+        assert (prf.n_matches, prf.n_gt, prf.n_correct) == (0, 0, 0)

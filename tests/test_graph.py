@@ -8,9 +8,15 @@ from tests import reference
 from repro.core import DEFAULT_CONFIG
 from repro.core.blocking import purge_blocks, token_block_index
 from repro.core.graph import beta_scores, gamma_scores, top_k_directed
+from repro.core.matching import match_graph
 from repro.core.relations import top_in_neighbors, top_n_neighbors
 from repro.core.tokens import literal_tokens
 from repro.oracle import assert_equivalent
+
+
+def _plan_lines(df) -> int:
+    """Lines of the DataFrame's analysed logical plan (one per operator)."""
+    return len(df._jdf.queryExecution().analyzed().toString().strip().splitlines())
 
 
 @pytest.fixture(scope="module")
@@ -209,3 +215,17 @@ class TestGraphStructure:
     def test_counts_recorded(self, micro_graph, micro_pair):
         assert micro_graph.n1 == micro_pair.triples1.select("eid").distinct().count()
         assert micro_graph.n2 == micro_pair.triples2.select("eid").distinct().count()
+
+
+class TestLineageCut:
+    """The pruned graph is a materialised boundary between Alg. 1 and 2."""
+
+    @pytest.mark.parametrize(
+        "field", ["alpha", "beta_out1", "beta_out2", "gamma_out1", "gamma_out2"]
+    )
+    def test_graph_frames_are_leaves(self, micro_graph, field):
+        assert _plan_lines(getattr(micro_graph, field)) == 1
+
+    def test_match_plan_stays_small(self, micro_graph):
+        # Re-embedding Alg. 1 in every rule made this plan ~1,700 lines.
+        assert _plan_lines(match_graph(micro_graph)) < 100
