@@ -1,5 +1,5 @@
 """Baselines the paper compares against: BSL, SiGMa-lite, PARIS-lite, UMC."""
-from .bsl import BSLResult, candidate_pairs_unpruned, entity_grams, pair_similarities, run_bsl, weighted_grams
+from .bsl import BSLResult, entity_grams, pair_similarities, run_bsl, weighted_grams
 from .paris import ParisResult, run_paris
 from .sigma import SigmaResult, run_sigma
 from .umc import unique_mapping_clustering
@@ -7,7 +7,6 @@ from .umc import unique_mapping_clustering
 __all__ = [
     "BSLResult",
     "run_bsl",
-    "candidate_pairs_unpruned",
     "entity_grams",
     "pair_similarities",
     "weighted_grams",

@@ -1,9 +1,12 @@
 """BSL: the paper's heavily fine-tuned value-only baseline (Section 6).
 
-BSL receives the *unpruned* disjunctive blocking graph (every pair
-co-occurring in a purged token block or a name block), scores each pair
-with a configurable string-similarity pipeline, and resolves with
-Unique Mapping Clustering. The grid mirrors the paper's 420 configs:
+BSL receives the *unpruned* disjunctive blocking graph as ``pairs``: every
+pair co-occurring in a purged token block or a name block, i.e.
+``core.blocking.Blocking.candidate_pairs()``. The caller builds, caches
+and releases it; the Table 3 harness shares one with SiGMa-lite. BSL
+scores each pair with a configurable string-similarity pipeline, and
+resolves with Unique Mapping Clustering. The grid mirrors the paper's
+420 configs:
 
 * token n-grams, n in {1, 2, 3};
 * TF or TF-IDF weights;
@@ -25,9 +28,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from ..core.blocking import purge_blocks, token_block_index, token_pairs
-from ..core.names import entity_names, name_pairs, top_k_name_attrs
-from ..core.tokens import TOKEN_SPLIT, literal_tokens
+from ..core.tokens import TOKEN_SPLIT
 
 MEASURES = ("cosine", "jaccard", "genjaccard", "sigma")
 
@@ -149,18 +150,6 @@ def pair_similarities(
     )
 
 
-def candidate_pairs_unpruned(
-    triples1: DataFrame, triples2: DataFrame, k_names: int = 2
-) -> DataFrame:
-    """The unpruned disjunctive blocking graph's edges, as in the paper's BSL."""
-    t1, t2 = literal_tokens(triples1), literal_tokens(triples2)
-    kept, _ = purge_blocks(token_block_index(t1, t2))
-    tok = token_pairs(t1, t2, kept)
-    n1 = entity_names(triples1, top_k_name_attrs(triples1, k_names))
-    n2 = entity_names(triples2, top_k_name_attrs(triples2, k_names))
-    return tok.union(name_pairs(n1, n2)).distinct()
-
-
 @dataclass
 class BSLResult:
     """Best configuration and score of the BSL grid search."""
@@ -190,6 +179,7 @@ def _prf(pred: pd.DataFrame, gt: pd.DataFrame) -> tuple[float, float, float]:
 def run_bsl(
     triples1: DataFrame,
     triples2: DataFrame,
+    pairs: DataFrame,
     gt_pdf: pd.DataFrame,
     ns: tuple[int, ...] = (1, 2, 3),
     weightings: tuple[str, ...] = ("tf", "tfidf"),
@@ -198,13 +188,14 @@ def run_bsl(
 ) -> BSLResult:
     """Grid-search BSL and return the best-F1 configuration.
 
+    ``pairs`` is the unpruned disjunctive blocking graph ``(eid1, eid2)``;
+    it is scored once per (n, weighting), so the caller should cache it.
     ``gt_pdf`` is the pandas ground truth (the sweep runs driver-side).
     """
     from ..baselines.umc import unique_mapping_clustering
 
     if thresholds is None:
         thresholds = np.arange(0.0, 1.0, 0.05)
-    pairs = candidate_pairs_unpruned(triples1, triples2).cache()
     rows: list[dict] = []
     for n, weighting in product(ns, weightings):
         g1 = entity_grams(triples1, n)

@@ -24,7 +24,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 
 from ..core.names import entity_names, top_k_name_attrs
-from .bsl import candidate_pairs_unpruned, entity_grams, pair_similarities, weighted_grams
+from .bsl import entity_grams, pair_similarities, weighted_grams
 
 
 @dataclass
@@ -47,6 +47,7 @@ def _neighbors(pdf: pd.DataFrame) -> dict[int, set[int]]:
 def run_sigma(
     triples1: DataFrame,
     triples2: DataFrame,
+    pairs: DataFrame,
     pdf1: pd.DataFrame,
     pdf2: pd.DataFrame,
     gt_pdf: pd.DataFrame,
@@ -54,9 +55,12 @@ def run_sigma(
     threshold: float = 0.3,
     max_cands_per_entity: int = 20,
 ) -> SigmaResult:
-    """Run the greedy propagation loop and score against the ground truth."""
+    """Run the greedy propagation loop and score against the ground truth.
+
+    ``pairs`` is the unpruned disjunctive blocking graph ``(eid1, eid2)``,
+    as for BSL; only these pairs get a value score.
+    """
     # --- Spark side: value scores and name seeds ---------------------------
-    pairs = candidate_pairs_unpruned(triples1, triples2)
     g1 = entity_grams(triples1, 1)
     g2 = entity_grams(triples2, 1)
     w1, w2 = weighted_grams(g1, g2, "tfidf")

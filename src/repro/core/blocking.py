@@ -1,4 +1,14 @@
-"""Token blocking, Block Purging, and block statistics (Section 3, Table 2).
+"""Composite blocking of one KB pair (Section 3.1) and its statistics (Table 2).
+
+This is the only module that knows how a KB pair is blocked.
+``composite_blocking`` tokenizes both KBs, builds the token-block index,
+applies Block Purging and returns a :class:`Blocking`: the cached tokens,
+the kept token blocks and the two KBs' entity names. ``graph.build_graph``
+takes alpha from its names and beta from its tokens, ``block_stats``
+counts Table 2 from it, and the Table 3 harness gives
+``Blocking.candidate_pairs()`` (the unpruned disjunctive blocking graph)
+to BSL and SiGMa-lite. Whoever calls ``composite_blocking`` owns the
+cached tokens and releases them with ``Blocking.unpersist()``.
 
 Token blocking creates one block per token shared by the two KBs; the
 block's comparison cardinality is ``EF1(t) * EF2(t)``. Block Purging
@@ -7,7 +17,8 @@ weight anyway (paper Section 3.3, deferring to [26]). The automatic
 threshold is derived from that weight (DESIGN.md section 5): a block of
 ``c`` comparisons gives its token weight ``1/log2(c+1)``, so dropping
 weights below 0.1 caps a block at ``c <= 1023`` comparisons, whatever the
-size of the KB pair.
+size of the KB pair. Name blocking creates one block per normalized name
+shared by the two KBs.
 """
 from __future__ import annotations
 
@@ -53,18 +64,65 @@ def purge_blocks(
     )
 
 
-def token_pairs(
+def beta_scores(
     tokens1: DataFrame, tokens2: DataFrame, kept_blocks: DataFrame
 ) -> DataFrame:
-    """Distinct cross-KB ``(eid1, eid2)`` co-occurring in a kept token block."""
-    kept = kept_blocks.select("token")
+    """``(eid1, eid2, beta)`` — valueSim for every pair sharing a kept token.
+
+    This is the Meta-blocking-style weighting of Alg. 1 lines 10-14: the
+    sum over shared tokens of ``1/log2(EF1*EF2+1)``, computed as a
+    token-similarity join over the purged token blocks.
+    """
+    w = kept_blocks.select("token", "weight")
     return (
-        tokens1.join(kept, "token")
+        tokens1.join(w, "token")
         .withColumnRenamed("eid", "eid1")
         .join(tokens2.withColumnRenamed("eid", "eid2"), "token")
-        .select("eid1", "eid2")
-        .distinct()
+        .groupBy("eid1", "eid2")
+        .agg(F.sum("weight").alias("beta"))
     )
+
+
+@dataclass
+class Blocking:
+    """The composite blocking of one KB pair: purged token blocks + name blocks."""
+
+    tokens1: DataFrame  # (eid, token) of KB1, cached
+    tokens2: DataFrame  # (eid, token) of KB2, cached
+    kept: DataFrame     # (token, ef1, ef2, weight, comparisons) after purging
+    purge_threshold: int
+    names1: DataFrame   # (eid, name) of KB1
+    names2: DataFrame   # (eid, name) of KB2
+
+    def candidate_pairs(self) -> DataFrame:
+        """Distinct ``(eid1, eid2)`` sharing a kept token block or a name block."""
+        tokens = beta_scores(self.tokens1, self.tokens2, self.kept).select(
+            "eid1", "eid2"
+        )
+        return tokens.union(name_pairs(self.names1, self.names2)).distinct()
+
+    def unpersist(self) -> None:
+        """Release the cached tokens."""
+        self.tokens1.unpersist()
+        self.tokens2.unpersist()
+
+
+def composite_blocking(
+    triples1: DataFrame,
+    triples2: DataFrame,
+    names1: DataFrame,
+    names2: DataFrame,
+    max_comparisons: int | None = None,
+) -> Blocking:
+    """Block a KB pair: cached tokens, purged token blocks, and the given names.
+
+    The names are an argument because each caller picks its own name
+    attributes; ``max_comparisons`` goes to ``purge_blocks``.
+    """
+    t1 = literal_tokens(triples1).cache()
+    t2 = literal_tokens(triples2).cache()
+    kept, threshold = purge_blocks(token_block_index(t1, t2), max_comparisons)
+    return Blocking(t1, t2, kept, threshold, names1, names2)
 
 
 @dataclass
@@ -96,22 +154,23 @@ def block_stats(
     block or a name block; precision/recall are measured against the
     ground truth over those candidate pairs, as in the paper.
     """
-    t1, t2 = literal_tokens(triples1), literal_tokens(triples2)
-    tindex = token_block_index(t1, t2)
-    kept, threshold = purge_blocks(tindex, max_comparisons)
-    nindex = name_block_index(names1, names2)
+    b = composite_blocking(triples1, triples2, names1, names2, max_comparisons)
+    try:
+        n_token_blocks, token_comps = b.kept.agg(
+            F.count("*"), F.sum("comparisons")
+        ).first()
+        n_name_blocks, name_comps = (
+            name_block_index(b.names1, b.names2)
+            .agg(F.count("*"), F.sum(F.col("cnt1") * F.col("cnt2")))
+            .first()
+        )
 
-    n_token_blocks = kept.count()
-    n_name_blocks = nindex.count()
-    token_comps = kept.agg(F.sum("comparisons")).collect()[0][0] or 0
-    name_comps = (
-        nindex.agg(F.sum(F.col("cnt1") * F.col("cnt2"))).collect()[0][0] or 0
-    )
-
-    cand = token_pairs(t1, t2, kept).union(name_pairs(names1, names2)).distinct()
-    n_cand = cand.count()
-    n_gt = gt.count()
-    hit = cand.join(gt, ["eid1", "eid2"]).count()
+        cand = b.candidate_pairs()
+        n_cand = cand.count()
+        n_gt = gt.count()
+        hit = cand.join(gt, ["eid1", "eid2"]).count()
+    finally:
+        b.unpersist()
     prec = 100.0 * hit / n_cand if n_cand else 0.0
     rec = 100.0 * hit / n_gt if n_gt else 0.0
     f1 = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
@@ -121,11 +180,11 @@ def block_stats(
     return BlockStats(
         n_name_blocks=n_name_blocks,
         n_token_blocks=n_token_blocks,
-        name_comparisons=int(name_comps),
-        token_comparisons=int(token_comps),
+        name_comparisons=int(name_comps or 0),
+        token_comparisons=int(token_comps or 0),
         cartesian=n1 * n2,
         precision=prec,
         recall=rec,
         f1=f1,
-        purge_threshold=threshold,
+        purge_threshold=b.purge_threshold,
     )

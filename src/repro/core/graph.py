@@ -13,12 +13,16 @@ per-evidence DataFrames:
 Ranks are dense within each node's list (1 = best), with deterministic
 ties (weight desc, candidate id asc).
 
+The name and token evidence comes from one ``blocking.Blocking`` that
+``build_graph`` builds with ``composite_blocking``: alpha from its names,
+beta (``blocking.beta_scores``) from its tokens and kept blocks.
+
 ``build_graph`` materialises these five frames once, as eager local
 checkpoints: each is a single-leaf plan, so Algorithm 2 plans over the
 pruned graph instead of re-embedding Algorithm 1's lineage in every rule.
-The frames it caches on the way (tokens, beta, gamma) are its own and are
-unpersisted before it returns; the checkpoints live as long as the
-returned ``BlockingGraph`` is referenced.
+The frames cached on the way (beta, gamma, and the blocking's tokens) are
+its own and are unpersisted before it returns; the checkpoints live as
+long as the returned ``BlockingGraph`` is referenced.
 """
 from __future__ import annotations
 
@@ -27,30 +31,10 @@ from dataclasses import dataclass
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
-from .blocking import purge_blocks, token_block_index
+from .blocking import beta_scores, composite_blocking
 from .config import MinoanerConfig
 from .names import alpha_edges, entity_names, top_k_name_attrs
 from .relations import relation_importance, top_in_neighbors, top_n_neighbors
-from .tokens import literal_tokens
-
-
-def beta_scores(
-    tokens1: DataFrame, tokens2: DataFrame, kept_blocks: DataFrame
-) -> DataFrame:
-    """``(eid1, eid2, beta)`` — valueSim for every pair sharing a kept token.
-
-    This is the Meta-blocking-style weighting of Alg. 1 lines 10-14: the
-    sum over shared tokens of ``1/log2(EF1*EF2+1)``, computed as a
-    token-similarity join over the purged token blocks.
-    """
-    w = kept_blocks.select("token", "weight")
-    return (
-        tokens1.join(w, "token")
-        .withColumnRenamed("eid", "eid1")
-        .join(tokens2.withColumnRenamed("eid", "eid2"), "token")
-        .groupBy("eid1", "eid2")
-        .agg(F.sum("weight").alias("beta"))
-    )
 
 
 def top_k_directed(
@@ -142,19 +126,22 @@ def build_graph(
     n1 = triples1.select("eid").distinct().count()
     n2 = triples2.select("eid").distinct().count()
 
-    # --- name evidence ----------------------------------------------------
+    # --- composite blocking: name blocks + purged token blocks -------------
     name_attrs1 = top_k_name_attrs(triples1, cfg.k, n1)
     name_attrs2 = top_k_name_attrs(triples2, cfg.k, n2)
-    names1 = entity_names(triples1, name_attrs1)
-    names2 = entity_names(triples2, name_attrs2)
-    alpha = alpha_edges(names1, names2).localCheckpoint()
+    blocking = composite_blocking(
+        triples1,
+        triples2,
+        entity_names(triples1, name_attrs1),
+        entity_names(triples2, name_attrs2),
+        cfg.purge_max_comparisons,
+    )
+
+    # --- name evidence ----------------------------------------------------
+    alpha = alpha_edges(blocking.names1, blocking.names2).localCheckpoint()
 
     # --- value evidence ---------------------------------------------------
-    t1 = literal_tokens(triples1).cache()
-    t2 = literal_tokens(triples2).cache()
-    index = token_block_index(t1, t2)
-    kept, threshold = purge_blocks(index, cfg.purge_max_comparisons)
-    beta = beta_scores(t1, t2, kept).cache()
+    beta = beta_scores(blocking.tokens1, blocking.tokens2, blocking.kept).cache()
     beta_out1 = top_k_directed(beta, "eid1", "eid2", "beta", cfg.K).localCheckpoint()
     beta_out2 = top_k_directed(beta, "eid2", "eid1", "beta", cfg.K).localCheckpoint()
 
@@ -173,8 +160,9 @@ def build_graph(
     gamma_out2 = top_k_directed(gamma, "eid2", "eid1", "gamma", cfg.K).localCheckpoint()
 
     # The five edge frames are materialised leaves; nothing reads these again.
-    for df in (t1, t2, beta, gamma):
-        df.unpersist()
+    beta.unpersist()
+    gamma.unpersist()
+    blocking.unpersist()
 
     return BlockingGraph(
         alpha=alpha,
@@ -186,5 +174,5 @@ def build_graph(
         n2=n2,
         name_attrs1=name_attrs1,
         name_attrs2=name_attrs2,
-        purge_threshold=threshold,
+        purge_threshold=blocking.purge_threshold,
     )

@@ -152,7 +152,6 @@ def match_graph(
     use_r2: bool = True,
     use_r3: bool = True,
     use_r4: bool = True,
-    mutual_r3: bool = True,
 ) -> DataFrame:
     """Algorithm 2 end to end; rule toggles drive the Table 4 ablation.
 
@@ -176,7 +175,7 @@ def match_graph(
     if use_r2:
         accumulate(rule2(g, matched).localCheckpoint())
     if use_r3:
-        accumulate(rule3(g, matched, theta, mutual=mutual_r3).localCheckpoint())
+        accumulate(rule3(g, matched, theta).localCheckpoint())
     if not parts:
         return rule1(g).filter(F.lit(False))
     all_matches = parts[0]

@@ -10,7 +10,7 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from ..core.tokens import literal_tokens
+from ..core.tokens import TOKEN_SPLIT, literal_tokens
 from .generator import KBPair
 
 
@@ -24,11 +24,7 @@ def kb_stats(triples: DataFrame) -> dict[str, float]:
     # from the raw values instead.
     occurrences = (
         triples.filter(F.col("val").isNotNull())
-        .select(
-            F.explode(
-                F.split(F.lower(F.col("val")), r"[^a-z0-9]+")
-            ).alias("token")
-        )
+        .select(F.explode(F.split(F.lower(F.col("val")), TOKEN_SPLIT)).alias("token"))
         .filter(F.col("token") != "")
         .count()
     )

@@ -3,9 +3,9 @@ from __future__ import annotations
 
 from pyspark.sql import SparkSession
 
-from ..kbgen import PROFILES, generate_kb_pair
 from ..kbgen.stats import dataset_stats
 from .fmt import format_rows
+from .pairs import profile_pairs
 
 
 def table1_rows(
@@ -13,14 +13,8 @@ def table1_rows(
 ) -> list[dict]:
     """One row per (dataset, metric), ours next to nothing — the paper's
     numbers are joined in EXPERIMENTS.md / jobs output."""
-    from ..kbgen.profiles import scaled
-
     rows = []
-    for name in profiles or list(PROFILES):
-        prof = PROFILES[name]
-        if sf is not None:
-            prof = scaled(prof, sf)
-        pair = generate_kb_pair(spark, prof, seed=seed)
+    for name, pair in profile_pairs(spark, profiles, seed, sf):
         s = dataset_stats(pair)
         rows.append(
             {

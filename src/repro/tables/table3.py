@@ -9,9 +9,11 @@ from __future__ import annotations
 from pyspark.sql import SparkSession
 
 from ..core import DEFAULT_CONFIG, run_minoaner
+from ..core.blocking import composite_blocking
+from ..core.names import entity_names
 from ..baselines import run_bsl, run_paris, run_sigma
-from ..kbgen import PROFILES, generate_kb_pair
 from .fmt import format_rows
+from .pairs import profile_pairs
 
 
 def table3_rows(
@@ -23,17 +25,12 @@ def table3_rows(
     with_sigma: bool = True,
     with_paris: bool = True,
 ) -> list[dict]:
-    from ..kbgen.profiles import scaled
-
     rows = []
-    for name in profiles or list(PROFILES):
-        prof = PROFILES[name]
-        if sf is not None:
-            prof = scaled(prof, sf)
-        pair = generate_kb_pair(spark, prof, seed=seed)
-        t1, t2 = pair.triples1.cache(), pair.triples2.cache()
+    for name, pair in profile_pairs(spark, profiles, seed, sf):
+        t1, t2 = pair.triples1, pair.triples2
 
         res = run_minoaner(t1, t2, pair.gt, DEFAULT_CONFIG)
+        res.matches.unpersist()
         rows.append(
             {
                 "dataset": name,
@@ -44,7 +41,26 @@ def table3_rows(
             }
         )
 
-        bsl = run_bsl(t1, t2, pair.gt_pdf, ns=bsl_ns)
+        # BSL and SiGMa-lite share one unpruned disjunctive blocking graph,
+        # blocked with the name attributes MinoanER discovered.
+        blocking = composite_blocking(
+            t1,
+            t2,
+            entity_names(t1, res.graph.name_attrs1),
+            entity_names(t2, res.graph.name_attrs2),
+            DEFAULT_CONFIG.purge_max_comparisons,
+        )
+        pairs = blocking.candidate_pairs().cache()
+        try:
+            bsl = run_bsl(t1, t2, pairs, pair.gt_pdf, ns=bsl_ns)
+            sg = (
+                run_sigma(t1, t2, pairs, pair.pdf1, pair.pdf2, pair.gt_pdf)
+                if with_sigma
+                else None
+            )
+        finally:
+            pairs.unpersist()
+            blocking.unpersist()
         rows.append(
             {
                 "dataset": name,
@@ -56,8 +72,7 @@ def table3_rows(
             }
         )
 
-        if with_sigma:
-            sg = run_sigma(t1, t2, pair.pdf1, pair.pdf2, pair.gt_pdf)
+        if sg is not None:
             rows.append(
                 {
                     "dataset": name,

@@ -1,4 +1,4 @@
-"""Helpers for building handcrafted KBs in tests."""
+"""Helpers for tests: handcrafted KBs and the Spark cache's contents."""
 from __future__ import annotations
 
 import pandas as pd
@@ -27,3 +27,13 @@ def gt_df(spark: SparkSession, pairs: list[tuple[int, int]]) -> DataFrame:
     return spark.createDataFrame(
         pd.DataFrame(pairs, columns=["eid1", "eid2"]), schema=GT_SCHEMA
     )
+
+
+def persistent_rdds(spark: SparkSession) -> set[int]:
+    """Ids of the RDDs Spark currently holds persisted (cached frames included).
+
+    Compare sets, not sizes: Spark's context cleaner may drop unreferenced
+    RDDs of earlier tests at any moment, so "nothing new is left behind" is
+    ``persistent_rdds(spark) <= before``.
+    """
+    return set(spark.sparkContext._jsc.getPersistentRDDs().keySet())

@@ -26,6 +26,17 @@ def tokens_of(pdf: pd.DataFrame) -> dict[int, set[str]]:
     return dict(out)
 
 
+def names_of(pdf: pd.DataFrame, attrs: list[str]) -> dict[int, set[str]]:
+    """eid -> set of lowercase, whitespace-collapsed values of ``attrs``."""
+    out: dict[int, set[str]] = defaultdict(set)
+    lits = pdf[pdf.val.notna() & pdf.attr.isin(attrs)]
+    for e, v in zip(lits.eid.astype(int), lits.val):
+        name = " ".join(str(v).lower().split())
+        if name:
+            out[e].add(name)
+    return dict(out)
+
+
 def entity_frequency(toks: dict[int, set[str]]) -> Counter:
     ef: Counter = Counter()
     for ts in toks.values():

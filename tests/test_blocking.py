@@ -4,15 +4,16 @@ from __future__ import annotations
 import pytest
 from pyspark.sql import functions as F
 
-from tests.kbutil import kb
+from tests import reference as ref
+from tests.kbutil import gt_df, kb, persistent_rdds
 from repro.core.blocking import (
     block_stats,
+    composite_blocking,
     purge_blocks,
     token_block_index,
-    token_pairs,
 )
-from repro.core.names import entity_names, top_k_name_attrs
-from repro.core.tokens import entity_frequency, literal_tokens
+from repro.core.names import entity_names
+from repro.core.tokens import literal_tokens
 from repro.oracle import assert_equivalent
 
 
@@ -106,21 +107,55 @@ class TestPurgeBlocks:
         assert dropped.agg(F.min("comparisons")).collect()[0][0] > thr
 
 
+def recount_candidates(pdf1, pdf2, attrs1, attrs2, cap) -> list[tuple[int, int]]:
+    """Pure-Python composite blocking: pairs sharing a token block of at
+    most ``cap`` comparisons, plus pairs sharing a normalized name."""
+    tok1, tok2 = ref.tokens_of(pdf1), ref.tokens_of(pdf2)
+    ef1, ef2 = ref.entity_frequency(tok1), ref.entity_frequency(tok2)
+    kept = {t for t in ef1.keys() & ef2.keys() if ef1[t] * ef2[t] <= cap}
+    names1, names2 = ref.names_of(pdf1, attrs1), ref.names_of(pdf2, attrs2)
+    return sorted(
+        (e1, e2)
+        for e1 in tok1.keys() | names1.keys()
+        for e2 in tok2.keys() | names2.keys()
+        if tok1.get(e1, set()) & tok2.get(e2, set()) & kept
+        or names1.get(e1, set()) & names2.get(e2, set())
+    )
+
+
+def candidates(k1, k2, attrs1=(), attrs2=(), cap=None) -> list[tuple[int, int]]:
+    """``Blocking.candidate_pairs()`` as a sorted list, checked against the
+    recount (a sorted list, so a duplicated pair would show)."""
+    b = composite_blocking(
+        k1, k2, entity_names(k1, list(attrs1)), entity_names(k2, list(attrs2)), cap
+    )
+    got = sorted((r.eid1, r.eid2) for r in b.candidate_pairs().collect())
+    b.unpersist()
+    assert got == recount_candidates(
+        k1.toPandas(), k2.toPandas(), attrs1, attrs2, b.purge_threshold
+    )
+    return got
+
+
 class TestTokenPairs:
+    """The token-block side of ``Blocking.candidate_pairs()`` (no names)."""
+
     def test_pairs_from_kept_blocks_only(self, spark, blockkbs):
         k1, k2 = blockkbs
-        t1, t2 = literal_tokens(k1), literal_tokens(k2)
-        idx = token_block_index(t1, t2)
-        kept, _ = purge_blocks(idx, max_comparisons=1)
-        pairs = {(r.eid1, r.eid2) for r in token_pairs(t1, t2, kept).collect()}
-        assert pairs == {(1, 11)}
+        assert candidates(k1, k2, cap=1) == [(1, 11)]  # only 'rare' is kept
 
     def test_pairs_distinct(self, spark):
         k1 = kb(spark, [(1, "a:d", "x y", None)])
         k2 = kb(spark, [(9, "b:d", "x y", None)])
-        t1, t2 = literal_tokens(k1), literal_tokens(k2)
-        kept, _ = purge_blocks(token_block_index(t1, t2))
-        assert token_pairs(t1, t2, kept).count() == 1  # two shared tokens, one pair
+        assert candidates(k1, k2) == [(1, 9)]  # two shared tokens, one pair
+
+
+class TestCandidatePairs:
+    def test_equals_recount_on_micro(self, micro_pair, micro_graph):
+        """Token-block pairs under the purge cap plus name-block pairs."""
+        attrs1, attrs2 = micro_graph.name_attrs1, micro_graph.name_attrs2
+        assert ref.names_of(micro_pair.pdf1, attrs1)  # names take part
+        assert candidates(micro_pair.triples1, micro_pair.triples2, attrs1, attrs2)
 
 
 class TestBlockStats:
@@ -153,3 +188,10 @@ class TestBlockStats:
     def test_counts_positive(self, stats):
         assert stats.n_name_blocks > 0
         assert stats.n_token_blocks > 0
+
+    def test_releases_its_tokens(self, spark, blockkbs):
+        k1, k2 = blockkbs
+        names = entity_names(k1, []), entity_names(k2, [])
+        before = persistent_rdds(spark)
+        block_stats(k1, k2, *names, gt_df(spark, [(1, 11)]))
+        assert persistent_rdds(spark) <= before

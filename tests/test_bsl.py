@@ -7,14 +7,33 @@ import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
-from tests.kbutil import kb
+from tests.kbutil import kb, persistent_rdds
 from repro.baselines.bsl import (
-    candidate_pairs_unpruned,
     entity_grams,
     pair_similarities,
     run_bsl,
     weighted_grams,
 )
+from repro.core.blocking import composite_blocking
+from repro.core.names import entity_names
+
+
+@pytest.fixture(scope="module")
+def micro_candidates(micro_pair, micro_graph):
+    """The micro pair's unpruned disjunctive blocking graph, cached and
+    materialised for the module; released afterwards."""
+    t1, t2 = micro_pair.triples1, micro_pair.triples2
+    blocking = composite_blocking(
+        t1,
+        t2,
+        entity_names(t1, micro_graph.name_attrs1),
+        entity_names(t2, micro_graph.name_attrs2),
+    )
+    pairs = blocking.candidate_pairs().cache()
+    pairs.count()
+    yield pairs
+    pairs.unpersist()
+    blocking.unpersist()
 
 
 @pytest.fixture(scope="module")
@@ -95,8 +114,8 @@ class TestPairSimilarities:
         # sum_common (wA+wB) = 4, sumA + sumB = 7
         assert sims.sigma == pytest.approx(4 / 7)
 
-    def test_all_measures_in_unit_interval(self, micro_pair):
-        pairs = candidate_pairs_unpruned(micro_pair.triples1, micro_pair.triples2)
+    def test_all_measures_in_unit_interval(self, micro_pair, micro_candidates):
+        pairs = micro_candidates
         g1 = entity_grams(micro_pair.triples1, 1)
         g2 = entity_grams(micro_pair.triples2, 1)
         w1, w2 = weighted_grams(g1, g2, "tfidf")
@@ -106,10 +125,11 @@ class TestPairSimilarities:
 
 
 class TestRunBSL:
-    def test_finds_good_config_on_micro(self, micro_pair):
+    def test_finds_good_config_on_micro(self, micro_pair, micro_candidates):
         res = run_bsl(
             micro_pair.triples1,
             micro_pair.triples2,
+            micro_candidates,
             micro_pair.gt_pdf,
             ns=(1,),
             thresholds=np.arange(0.0, 1.0, 0.1),
@@ -117,10 +137,11 @@ class TestRunBSL:
         assert res.f1 >= 70.0  # micro is value-rich: tuned BSL must do well
         assert res.measure in ("cosine", "jaccard", "genjaccard", "sigma")
 
-    def test_grid_has_all_configs(self, micro_pair):
+    def test_grid_has_all_configs(self, micro_pair, micro_candidates):
         res = run_bsl(
             micro_pair.triples1,
             micro_pair.triples2,
+            micro_candidates,
             micro_pair.gt_pdf,
             ns=(1,),
             thresholds=np.arange(0.0, 1.0, 0.25),
@@ -128,12 +149,27 @@ class TestRunBSL:
         # (tf: 3 measures + tfidf: 4 measures) x 4 thresholds
         assert len(res.grid) == 7 * 4
 
-    def test_best_row_consistent_with_grid(self, micro_pair):
+    def test_best_row_consistent_with_grid(self, micro_pair, micro_candidates):
         res = run_bsl(
             micro_pair.triples1,
             micro_pair.triples2,
+            micro_candidates,
             micro_pair.gt_pdf,
             ns=(1,),
             thresholds=np.arange(0.0, 1.0, 0.25),
         )
         assert res.f1 == pytest.approx(res.grid.f1.max())
+
+    def test_leaves_no_cached_frame(self, spark, micro_pair, micro_candidates):
+        before = persistent_rdds(spark)
+        run_bsl(
+            micro_pair.triples1,
+            micro_pair.triples2,
+            micro_candidates,
+            micro_pair.gt_pdf,
+            ns=(1,),
+            weightings=("tf",),
+            measures=("jaccard",),
+            thresholds=np.arange(0.0, 1.0, 0.5),
+        )
+        assert persistent_rdds(spark) <= before

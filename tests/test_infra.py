@@ -1,91 +1,71 @@
-"""Infrastructure tests: provided TPC-H-lite generators and the DuckDB oracle.
+"""Infrastructure tests: the DuckDB oracle on KB triples.
 
-The paper's workload is KB-shaped (see kbgen), but the provided OLAP
-generators and the oracle are part of the repo's substrate and must work.
+Every oracle test in the suite trusts ``assert_equivalent``; these check
+that it agrees with Spark on an aggregation and a join over the micro KB
+pair, and that it fails on a wrong result or a renamed column.
 """
 from __future__ import annotations
 
 import pytest
 from pyspark.sql import functions as F
 
-from repro import synth_data
 from repro.oracle import assert_equivalent
 
 
-class TestSynthData:
-    def test_lineitem_deterministic(self, spark):
-        a = synth_data.lineitem(spark, sf=0.001, seed=0).toPandas()
-        b = synth_data.lineitem(spark, sf=0.001, seed=0).toPandas()
-        assert a.equals(b)
-
-    def test_orders_keys_unique(self, spark):
-        o = synth_data.orders(spark, sf=0.001)
-        assert o.count() == o.select("o_orderkey").distinct().count()
-
-    def test_zipf_keys_skewed(self, spark):
-        z = synth_data.zipf_keys(spark, n=5000, n_keys=100).toPandas()
-        top = z.k.value_counts(normalize=True).iloc[0]
-        assert top > 0.10  # rank-1 key dominates under zipf
-
-    def test_uniform_keys_flat(self, spark):
-        u = synth_data.uniform_keys(spark, n=5000, n_keys=100).toPandas()
-        top = u.k.value_counts(normalize=True).iloc[0]
-        assert top < 0.05
-
-    def test_oracle_on_aggregation(self, spark):
-        li = synth_data.lineitem(spark, sf=0.001)
-        got = li.groupBy("l_returnflag").agg(
-            F.sum("l_quantity").alias("qty"),
-            F.count("*").alias("cnt"),
+class TestOracleOnTriples:
+    def test_oracle_on_aggregation(self, micro_pair):
+        t1 = micro_pair.triples1
+        got = t1.groupBy("attr").agg(
+            F.countDistinct("eid").alias("subjects"),
+            F.count("val").alias("literals"),
         )
         assert_equivalent(
             got,
             """
-            SELECT l_returnflag, sum(l_quantity) AS qty, count(*) AS cnt
-            FROM li GROUP BY l_returnflag
+            SELECT attr, count(DISTINCT eid) AS subjects, count(val) AS literals
+            FROM t1 GROUP BY attr
             """,
-            li=li,
+            t1=t1,
         )
 
-    def test_oracle_on_join(self, spark):
-        li = synth_data.lineitem(spark, sf=0.001)
-        o = synth_data.orders(spark, sf=0.001)
+    def test_oracle_on_join(self, micro_pair):
+        t1, gt = micro_pair.triples1, micro_pair.gt
         got = (
-            li.join(o, li.l_orderkey == o.o_orderkey)
-            .groupBy("o_orderpriority")
+            t1.join(gt, t1.eid == gt.eid1)
+            .groupBy("attr")
             .agg(F.count("*").alias("cnt"))
         )
         assert_equivalent(
             got,
             """
-            SELECT o_orderpriority, count(*) AS cnt
-            FROM li JOIN o ON l_orderkey = o_orderkey
-            GROUP BY o_orderpriority
+            SELECT attr, count(*) AS cnt
+            FROM t1 JOIN gt ON eid = eid1
+            GROUP BY attr
             """,
-            li=li,
-            o=o,
+            t1=t1,
+            gt=gt,
         )
 
 
 class TestOracleHelper:
-    def test_detects_wrong_result(self, spark):
-        li = synth_data.lineitem(spark, sf=0.001)
-        wrong = li.groupBy("l_returnflag").agg(
+    def test_detects_wrong_result(self, micro_pair):
+        t1 = micro_pair.triples1
+        wrong = t1.groupBy("attr").agg(
             (F.count("*") + 1).alias("cnt")  # off by one: oracle must catch
         )
         with pytest.raises(AssertionError):
             assert_equivalent(
                 wrong,
-                "SELECT l_returnflag, count(*) AS cnt FROM li GROUP BY l_returnflag",
-                li=li,
+                "SELECT attr, count(*) AS cnt FROM t1 GROUP BY attr",
+                t1=t1,
             )
 
-    def test_detects_column_mismatch(self, spark):
-        li = synth_data.lineitem(spark, sf=0.001)
-        got = li.groupBy("l_returnflag").agg(F.count("*").alias("n"))
+    def test_detects_column_mismatch(self, micro_pair):
+        t1 = micro_pair.triples1
+        got = t1.groupBy("attr").agg(F.count("*").alias("n"))
         with pytest.raises(AssertionError, match="column mismatch"):
             assert_equivalent(
                 got,
-                "SELECT l_returnflag, count(*) AS cnt FROM li GROUP BY l_returnflag",
-                li=li,
+                "SELECT attr, count(*) AS cnt FROM t1 GROUP BY attr",
+                t1=t1,
             )

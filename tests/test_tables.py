@@ -3,7 +3,19 @@ from __future__ import annotations
 
 import pytest
 
-from repro.tables import format_rows, paper_numbers, table1_rows, table2_rows, table4_rows
+from tests.kbutil import persistent_rdds
+from repro import jobs
+from repro.tables import (
+    format_rows,
+    paper_numbers,
+    table1,
+    table1_rows,
+    table2,
+    table2_rows,
+    table3,
+    table4,
+    table4_rows,
+)
 
 
 class TestPaperNumbers:
@@ -70,7 +82,9 @@ class TestHarnesses:
         assert "/" in r["attributes"]
 
     def test_table2_rows(self, spark):
+        before = persistent_rdds(spark)
         rows = table2_rows(spark, profiles=["restaurant"], sf=0.2)
+        assert persistent_rdds(spark) <= before  # pair and tokens released
         r = rows[0]
         assert r["recall"] >= 99.0
         assert r["token_comparisons"] + r["name_comparisons"] < r["cartesian"]
@@ -83,3 +97,19 @@ class TestHarnesses:
         assert full["f1"] >= 75.0  # ~20 matches at this scale: noisy
         r1 = next(r for r in rows if r["variant"] == "R1")
         assert r1["precision"] >= 90.0  # name rule is precise by design
+
+
+class TestJobs:
+    def test_each_table_runs_its_harness(self):
+        assert jobs.TABLES == {
+            "table1": table1.main,
+            "table2": table2.main,
+            "table3": table3.main,
+            "table4": table4.main,
+        }
+
+    def test_unknown_table_exits_nonzero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            jobs.main(["table5"])
+        assert exc.value.code != 0
+        assert "invalid choice" in capsys.readouterr().err
