@@ -1,14 +1,18 @@
 """Composite blocking of one KB pair (Section 3.1) and its statistics (Table 2).
 
-This is the only module that knows how a KB pair is blocked.
-``composite_blocking`` tokenizes both KBs, builds the token-block index,
-applies Block Purging and returns a :class:`Blocking`: the cached tokens,
-the kept token blocks and the two KBs' entity names. ``graph.build_graph``
-takes alpha from its names and beta from its tokens, ``block_stats``
-counts Table 2 from it, and the Table 3 harness gives
-``Blocking.candidate_pairs()`` (the unpruned disjunctive blocking graph)
-to BSL and SiGMa-lite. Whoever calls ``composite_blocking`` owns the
-cached tokens and releases them with ``Blocking.unpersist()``.
+This is the only module that knows how a KB pair is blocked. The token
+half and the name half are independent. ``token_blocking`` is the token
+half: it tokenizes both KBs, builds the token-block index and applies
+Block Purging, returning the cached tokens, the kept token blocks and the
+purge threshold. ``composite_blocking`` is the whole composite blocking:
+that token half plus the two KBs' entity names, as a :class:`Blocking`.
+``block_stats`` counts Table 2 from a ``Blocking``, and the Table 3
+harness gives ``Blocking.candidate_pairs()`` (the unpruned disjunctive
+blocking graph) to BSL and SiGMa-lite. ``graph.build_graph`` calls
+``token_blocking`` itself, so that the token half runs concurrently with
+name discovery, and assembles its ``Blocking`` from the two halves. Whoever
+calls ``token_blocking`` or ``composite_blocking`` owns the cached tokens
+and releases them (``Blocking.unpersist()``).
 
 Token blocking creates one block per token shared by the two KBs; the
 block's comparison cardinality is ``EF1(t) * EF2(t)``. Block Purging
@@ -107,6 +111,22 @@ class Blocking:
         self.tokens2.unpersist()
 
 
+def token_blocking(
+    triples1: DataFrame, triples2: DataFrame, max_comparisons: int | None = None
+) -> tuple[DataFrame, DataFrame, DataFrame, int]:
+    """The token half of the blocking: ``(tokens1, tokens2, kept, threshold)``.
+
+    ``tokens1``/``tokens2`` are ``(eid, token)``, cached; the caller
+    unpersists them. ``kept`` is the token-block index after Block Purging
+    and ``threshold`` its cardinality cap (``max_comparisons`` goes to
+    ``purge_blocks``). The tuple is in ``Blocking``'s field order.
+    """
+    t1 = literal_tokens(triples1).cache()
+    t2 = literal_tokens(triples2).cache()
+    kept, threshold = purge_blocks(token_block_index(t1, t2), max_comparisons)
+    return t1, t2, kept, threshold
+
+
 def composite_blocking(
     triples1: DataFrame,
     triples2: DataFrame,
@@ -114,15 +134,12 @@ def composite_blocking(
     names2: DataFrame,
     max_comparisons: int | None = None,
 ) -> Blocking:
-    """Block a KB pair: cached tokens, purged token blocks, and the given names.
+    """Block a KB pair: ``token_blocking`` plus the given names.
 
     The names are an argument because each caller picks its own name
-    attributes; ``max_comparisons`` goes to ``purge_blocks``.
+    attributes.
     """
-    t1 = literal_tokens(triples1).cache()
-    t2 = literal_tokens(triples2).cache()
-    kept, threshold = purge_blocks(token_block_index(t1, t2), max_comparisons)
-    return Blocking(t1, t2, kept, threshold, names1, names2)
+    return Blocking(*token_blocking(triples1, triples2, max_comparisons), names1, names2)
 
 
 @dataclass

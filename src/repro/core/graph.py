@@ -13,16 +13,29 @@ per-evidence DataFrames:
 Ranks are dense within each node's list (1 = best), with deterministic
 ties (weight desc, candidate id asc).
 
-The name and token evidence comes from one ``blocking.Blocking`` that
-``build_graph`` builds with ``composite_blocking``: alpha from its names,
-beta (``blocking.beta_scores``) from its tokens and kept blocks.
+``build_graph`` runs Algorithm 1 in three levels. Within a level the
+independent Spark actions are submitted together from driver threads
+(``parallel.concurrently``), so one branch's planning and code generation
+overlap another's tasks; a level starts when the one before has returned:
 
-``build_graph`` materialises these five frames once, as eager local
-checkpoints: each is a single-leaf plan, so Algorithm 2 plans over the
-pruned graph instead of re-embedding Algorithm 1's lineage in every rule.
-The frames cached on the way (beta, gamma, and the blocking's tokens) are
-its own and are unpersisted before it returns; the checkpoints live as
-long as the returned ``BlockingGraph`` is referenced.
+1. ``|E1|`` and ``|E2|``, counted at once.
+2. Three branches (the parallel branches of the paper's Fig. 4):
+   *names* finds both KBs' name attributes at once, then checkpoints
+   alpha; *value* runs ``blocking.token_blocking`` (tokens cached), caches
+   beta (``blocking.beta_scores``) and checkpoints both of its top-K
+   directions at once; *neighbours* caches and counts both KBs' top
+   in-neighbours at once. The value branch does not wait for the names.
+3. gamma, cached, from the retained beta edges and the in-neighbours;
+   both of its top-K directions are checkpointed at once.
+
+``build_graph`` assembles the pair's ``blocking.Blocking`` from the token
+half and the names. The five returned frames are eager local checkpoints:
+each is a single-leaf plan, so Algorithm 2 plans over the pruned graph
+instead of re-embedding Algorithm 1's lineage in every rule. The frames
+cached on the way (the tokens, beta, both in-neighbour frames and gamma)
+are its own and are unpersisted before it returns, on the error path too;
+the checkpoints live as long as the returned ``BlockingGraph`` is
+referenced.
 """
 from __future__ import annotations
 
@@ -31,9 +44,10 @@ from dataclasses import dataclass
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
-from .blocking import beta_scores, composite_blocking
+from .blocking import Blocking, beta_scores, token_blocking
 from .config import MinoanerConfig
 from .names import alpha_edges, entity_names, top_k_name_attrs
+from .parallel import concurrently
 from .relations import relation_importance, top_in_neighbors, top_n_neighbors
 
 
@@ -110,59 +124,90 @@ class BlockingGraph:
         )
 
 
+def _top_k_leaves(scores: DataFrame, weight_col: str, k: int) -> list[DataFrame]:
+    """Both directions' top-K lists of ``scores``, checkpointed concurrently."""
+    return concurrently(
+        scores.sparkSession,
+        lambda: top_k_directed(scores, "eid1", "eid2", weight_col, k).localCheckpoint(),
+        lambda: top_k_directed(scores, "eid2", "eid1", weight_col, k).localCheckpoint(),
+    )
+
+
 def build_graph(
     triples1: DataFrame,
     triples2: DataFrame,
     cfg: MinoanerConfig,
 ) -> BlockingGraph:
-    """Run Algorithm 1 end to end as DataFrame jobs.
+    """Run Algorithm 1 end to end as DataFrame jobs, in three levels.
 
-    Name blocking, token blocking and top-neighbor extraction are
-    independent jobs (the parallel branches of the paper's Fig. 4);
-    gamma is derived from the pruned beta edges and the in-neighbor
-    index, then pruned per node. The returned edge frames are eager local
-    checkpoints (see the module docstring).
+    1. ``n1 ‖ n2``.
+    2. names (name attributes of KB1 ‖ KB2, then alpha) ‖ value (tokens,
+       beta cached, then ``beta_out1 ‖ beta_out2``) ‖ neighbours (top
+       in-neighbours of KB1 ‖ KB2, cached and counted).
+    3. gamma cached, then ``gamma_out1 ‖ gamma_out2``.
+
+    ``‖`` marks jobs submitted together from driver threads. The returned
+    edge frames are eager local checkpoints; everything cached on the way
+    is unpersisted in a ``finally`` (see the module docstring).
     """
-    n1 = triples1.select("eid").distinct().count()
-    n2 = triples2.select("eid").distinct().count()
-
-    # --- composite blocking: name blocks + purged token blocks -------------
-    name_attrs1 = top_k_name_attrs(triples1, cfg.k, n1)
-    name_attrs2 = top_k_name_attrs(triples2, cfg.k, n2)
-    blocking = composite_blocking(
-        triples1,
-        triples2,
-        entity_names(triples1, name_attrs1),
-        entity_names(triples2, name_attrs2),
-        cfg.purge_max_comparisons,
+    session = triples1.sparkSession
+    n1, n2 = concurrently(
+        session,
+        lambda: triples1.select("eid").distinct().count(),
+        lambda: triples2.select("eid").distinct().count(),
     )
+    cached: list[DataFrame] = []  # appended to from the branch threads; append is atomic
 
-    # --- name evidence ----------------------------------------------------
-    alpha = alpha_edges(blocking.names1, blocking.names2).localCheckpoint()
+    def keep(df: DataFrame) -> DataFrame:
+        """Cache ``df`` until ``build_graph`` returns."""
+        cached.append(df)
+        return df.cache()
 
-    # --- value evidence ---------------------------------------------------
-    beta = beta_scores(blocking.tokens1, blocking.tokens2, blocking.kept).cache()
-    beta_out1 = top_k_directed(beta, "eid1", "eid2", "beta", cfg.K).localCheckpoint()
-    beta_out2 = top_k_directed(beta, "eid2", "eid1", "beta", cfg.K).localCheckpoint()
+    def names():
+        attrs1, attrs2 = concurrently(
+            session,
+            lambda: top_k_name_attrs(triples1, cfg.k, n1),
+            lambda: top_k_name_attrs(triples2, cfg.k, n2),
+        )
+        names1 = entity_names(triples1, attrs1)
+        names2 = entity_names(triples2, attrs2)
+        alpha = alpha_edges(names1, names2).localCheckpoint()
+        return attrs1, attrs2, names1, names2, alpha
 
-    # --- neighbor evidence ------------------------------------------------
-    imp1 = relation_importance(triples1, n1)
-    imp2 = relation_importance(triples2, n2)
-    topin1 = top_in_neighbors(top_n_neighbors(triples1, cfg.N, imp1))
-    topin2 = top_in_neighbors(top_n_neighbors(triples2, cfg.N, imp2))
-    retained_beta = (
-        beta_out1.select("eid1", "eid2", "beta")
-        .union(beta_out2.select("eid1", "eid2", "beta"))
-        .distinct()
-    )
-    gamma = gamma_scores(retained_beta, topin1, topin2).cache()
-    gamma_out1 = top_k_directed(gamma, "eid1", "eid2", "gamma", cfg.K).localCheckpoint()
-    gamma_out2 = top_k_directed(gamma, "eid2", "eid1", "gamma", cfg.K).localCheckpoint()
+    def value():
+        token_half = token_blocking(triples1, triples2, cfg.purge_max_comparisons)
+        t1, t2, kept, _ = token_half
+        cached.extend((t1, t2))
+        beta = keep(beta_scores(t1, t2, kept))
+        return token_half, *_top_k_leaves(beta, "beta", cfg.K)
 
-    # The five edge frames are materialised leaves; nothing reads these again.
-    beta.unpersist()
-    gamma.unpersist()
-    blocking.unpersist()
+    def neighbours():
+        topin1, topin2 = (
+            keep(top_in_neighbors(top_n_neighbors(t, cfg.N, relation_importance(t, n))))
+            for t, n in ((triples1, n1), (triples2, n2))
+        )
+        concurrently(session, topin1.count, topin2.count)
+        return topin1, topin2
+
+    try:
+        name_half, value_half, (topin1, topin2) = concurrently(
+            session, names, value, neighbours
+        )
+        name_attrs1, name_attrs2, names1, names2, alpha = name_half
+        token_half, beta_out1, beta_out2 = value_half
+        blocking = Blocking(*token_half, names1, names2)
+
+        retained_beta = (
+            beta_out1.select("eid1", "eid2", "beta")
+            .union(beta_out2.select("eid1", "eid2", "beta"))
+            .distinct()
+        )
+        gamma = keep(gamma_scores(retained_beta, topin1, topin2))
+        gamma_out1, gamma_out2 = _top_k_leaves(gamma, "gamma", cfg.K)
+    finally:
+        # The edge frames are checkpointed leaves; nothing reads the caches again.
+        for df in cached:
+            df.unpersist()
 
     return BlockingGraph(
         alpha=alpha,

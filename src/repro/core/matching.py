@@ -156,9 +156,10 @@ def match_graph(
     """Algorithm 2 end to end; rule toggles drive the Table 4 ablation.
 
     Returns ``(eid1, eid2, rule)``. Rules run in order, each skipping
-    entities matched by earlier rules; R4 filters the union. Each rule's
-    output is an eager local checkpoint, so later rules and the ``matched``
+    entities matched by earlier rules; R4 filters the union. R2's and R3's
+    outputs are eager local checkpoints, so later rules and the ``matched``
     exclusions plan over leaves rather than over the rules before them.
+    R1 needs none: it is a projection of the alpha leaf.
     """
     parts: list[DataFrame] = []
     matched: DataFrame | None = None
@@ -171,7 +172,7 @@ def match_graph(
         )
 
     if use_r1:
-        accumulate(rule1(g).localCheckpoint())
+        accumulate(rule1(g))
     if use_r2:
         accumulate(rule2(g, matched).localCheckpoint())
     if use_r3:

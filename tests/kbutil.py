@@ -37,3 +37,13 @@ def persistent_rdds(spark: SparkSession) -> set[int]:
     ``persistent_rdds(spark) <= before``.
     """
     return set(spark.sparkContext._jsc.getPersistentRDDs().keySet())
+
+
+def cached_rdds(spark: SparkSession) -> set[int]:
+    """Ids of the persisted RDDs that back cached frames (local checkpoints excluded).
+
+    A local checkpoint is a persisted RDD too, but it is a result that lives
+    as long as the frame over it, not a cache its creator must release.
+    """
+    rdds = spark.sparkContext._jsc.getPersistentRDDs()  # an immutable snapshot
+    return {i for i in rdds.keySet() if not rdds.get(i).rdd().isLocallyCheckpointed()}

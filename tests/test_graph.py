@@ -1,22 +1,50 @@
 """Unit tests for core.graph: beta/gamma scores, top-K pruning, edge sets."""
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 from pyspark.sql import functions as F
 
 from tests import reference
+from tests.kbutil import cached_rdds, persistent_rdds
 from repro.core import DEFAULT_CONFIG
 from repro.core.blocking import purge_blocks, token_block_index
-from repro.core.graph import beta_scores, gamma_scores, top_k_directed
+from repro.core.graph import beta_scores, build_graph, gamma_scores, top_k_directed
 from repro.core.matching import match_graph
 from repro.core.relations import top_in_neighbors, top_n_neighbors
 from repro.core.tokens import literal_tokens
 from repro.oracle import assert_equivalent
 
 
+EDGE_FRAMES = ["alpha", "beta_out1", "beta_out2", "gamma_out1", "gamma_out2"]
+
+
 def _plan_lines(df) -> int:
     """Lines of the DataFrame's analysed logical plan (one per operator)."""
     return len(df._jdf.queryExecution().analyzed().toString().strip().splitlines())
+
+
+def _leaf_rdd(df) -> int:
+    """Id of the RDD under a local checkpoint (its plan is one LogicalRDD)."""
+    return df._jdf.queryExecution().analyzed().rdd().id()
+
+
+def _edge_rows(g) -> dict[str, list]:
+    """The graph's five edge frames, collected and sorted.
+
+    Weights are rounded to 9 digits: Spark sums beta and gamma in shuffle
+    arrival order, which varies between runs, so they may differ in the
+    last bits.
+    """
+    return {
+        f: sorted(
+            tuple(round(v, 9) if isinstance(v, float) else v for v in r)
+            for r in getattr(g, f).collect()
+        )
+        for f in EDGE_FRAMES
+    }
 
 
 @pytest.fixture(scope="module")
@@ -220,12 +248,69 @@ class TestGraphStructure:
 class TestLineageCut:
     """The pruned graph is a materialised boundary between Alg. 1 and 2."""
 
-    @pytest.mark.parametrize(
-        "field", ["alpha", "beta_out1", "beta_out2", "gamma_out1", "gamma_out2"]
-    )
+    @pytest.mark.parametrize("field", EDGE_FRAMES)
     def test_graph_frames_are_leaves(self, micro_graph, field):
         assert _plan_lines(getattr(micro_graph, field)) == 1
 
     def test_match_plan_stays_small(self, micro_graph):
         # Re-embedding Alg. 1 in every rule made this plan ~1,700 lines.
         assert _plan_lines(match_graph(micro_graph)) < 100
+
+
+class TestConcurrentBuild:
+    """``build_graph`` submits Alg. 1's independent jobs from driver threads."""
+
+    def test_leaves_only_its_checkpoints(self, spark, micro_pair):
+        before = persistent_rdds(spark)
+        g = build_graph(micro_pair.triples1, micro_pair.triples2, DEFAULT_CONFIG)
+        leaves = {_leaf_rdd(getattr(g, f)) for f in EDGE_FRAMES}
+        assert persistent_rdds(spark) - before <= leaves
+
+    @pytest.mark.parametrize(
+        "stage",
+        [
+            "top_in_neighbors",  # the neighbour branch, in a pool thread
+            "gamma_scores",  # level 3, after every branch has cached its frames
+        ],
+    )
+    def test_failure_propagates_and_releases_caches(
+        self, spark, micro_pair, monkeypatch, stage
+    ):
+        def fail(*args, **kwargs):
+            raise RuntimeError(f"{stage} failed")
+
+        monkeypatch.setattr(f"repro.core.graph.{stage}", fail)
+        before = cached_rdds(spark)
+        with pytest.raises(RuntimeError, match=f"{stage} failed"):
+            build_graph(micro_pair.triples1, micro_pair.triples2, DEFAULT_CONFIG)
+        assert cached_rdds(spark) <= before
+
+    def test_concurrent_builds_match_a_serial_build(self, micro_pair, micro_graph):
+        want = _edge_rows(micro_graph)
+        results: dict[int, dict] = {}
+        errors: list[BaseException] = []
+
+        def build(i: int) -> None:
+            try:
+                g = build_graph(micro_pair.triples1, micro_pair.triples2, DEFAULT_CONFIG)
+                results[i] = _edge_rows(g)
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+                raise
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            # More threads than a 4-core machine has cores.
+            threads = [threading.Thread(target=build, args=(i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=600)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert set(results) == set(range(6))
+        for rows in results.values():
+            assert rows == want
