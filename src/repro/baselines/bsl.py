@@ -28,6 +28,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from ..core.evaluation import PRF
 from ..core.tokens import TOKEN_SPLIT
 
 MEASURES = ("cosine", "jaccard", "genjaccard", "sigma")
@@ -164,18 +165,6 @@ class BSLResult:
     grid: pd.DataFrame  # one row per (n, weighting, measure, threshold)
 
 
-def _prf(pred: pd.DataFrame, gt: pd.DataFrame) -> tuple[float, float, float]:
-    n_m = len(pred)
-    n_gt = len(gt)
-    if n_m == 0 or n_gt == 0:
-        return 0.0, 0.0, 0.0
-    hit = len(pred.merge(gt, on=["eid1", "eid2"]))
-    p = 100.0 * hit / n_m
-    r = 100.0 * hit / n_gt
-    f1 = 2 * p * r / (p + r) if p + r else 0.0
-    return p, r, f1
-
-
 def run_bsl(
     triples1: DataFrame,
     triples2: DataFrame,
@@ -211,16 +200,17 @@ def run_bsl(
             scored = scored[scored.sim > 0]
             for t in thresholds:
                 pred = unique_mapping_clustering(scored, float(t))
-                p, r, f1 = _prf(pred, gt_pdf)
+                hit = len(pred.merge(gt_pdf, on=["eid1", "eid2"])) if len(pred) else 0
+                prf = PRF.from_counts(len(pred), len(gt_pdf), hit)
                 rows.append(
                     {
                         "n": n,
                         "weighting": weighting,
                         "measure": measure,
                         "threshold": round(float(t), 2),
-                        "precision": p,
-                        "recall": r,
-                        "f1": f1,
+                        "precision": prf.precision,
+                        "recall": prf.recall,
+                        "f1": prf.f1,
                     }
                 )
     grid = pd.DataFrame(rows)

@@ -24,6 +24,14 @@ from dataclasses import dataclass
 
 import pandas as pd
 
+from ..core.evaluation import PRF
+from .umc import unique_mapping_clustering
+
+ITERATIONS = 3
+"""Rounds of relation alignment and probability propagation."""
+ACCEPT_THRESHOLD = 0.5
+"""A pair counts as a probable match, and may be matched, from this probability."""
+
 
 @dataclass
 class ParisResult:
@@ -53,8 +61,6 @@ def run_paris(
     pdf1: pd.DataFrame,
     pdf2: pd.DataFrame,
     gt_pdf: pd.DataFrame,
-    iterations: int = 3,
-    accept_threshold: float = 0.5,
 ) -> ParisResult:
     """Run the fixed-point probability iteration and score the matches."""
     lit1, lit2 = _literal_index(pdf1), _literal_index(pdf2)
@@ -93,7 +99,7 @@ def run_paris(
 
     prob: dict[tuple[int, int], float] = dict(lit_prob)
 
-    for _ in range(iterations):
+    for _ in range(ITERATIONS):
         # --- relation alignment from current probable matches -------------
         # align(r2 | r1) is a conditional distribution: of the in-edge
         # pairs observed on probable matches with relation r1 on the KB1
@@ -101,7 +107,7 @@ def run_paris(
         align_hits: Counter = Counter()
         r1_totals: Counter = Counter()
         for (a, b), p in prob.items():
-            if p < accept_threshold:
+            if p < ACCEPT_THRESHOLD:
                 continue
             for r1, s1 in in1.get(a, ()):
                 for r2, s2 in in2.get(b, ()):
@@ -133,20 +139,12 @@ def run_paris(
                     new_prob[(s1, s2)] = 1.0 - (1.0 - cur) * (1.0 - ev)
         prob = new_prob
 
-    from .umc import unique_mapping_clustering
-
     cand = pd.DataFrame(
-        [(a, b, p) for (a, b), p in prob.items() if p >= accept_threshold],
+        [(a, b, p) for (a, b), p in prob.items() if p >= ACCEPT_THRESHOLD],
         columns=["eid1", "eid2", "sim"],
     )
-    matches = (
-        unique_mapping_clustering(cand, accept_threshold)[["eid1", "eid2"]]
-        if len(cand)
-        else cand[["eid1", "eid2"]] if len(cand) else pd.DataFrame(columns=["eid1", "eid2"])
-    )
-    n_m, n_gt = len(matches), len(gt_pdf)
+    matches = unique_mapping_clustering(cand, ACCEPT_THRESHOLD)[["eid1", "eid2"]]
+    n_m = len(matches)
     hit = len(matches.merge(gt_pdf, on=["eid1", "eid2"])) if n_m else 0
-    p_ = 100.0 * hit / n_m if n_m else 0.0
-    r_ = 100.0 * hit / n_gt if n_gt else 0.0
-    f1 = 2 * p_ * r_ / (p_ + r_) if p_ + r_ else 0.0
-    return ParisResult(matches=matches, precision=p_, recall=r_, f1=f1)
+    prf = PRF.from_counts(n_m, len(gt_pdf), hit)
+    return ParisResult(matches, prf.precision, prf.recall, prf.f1)

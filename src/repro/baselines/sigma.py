@@ -23,8 +23,16 @@ from dataclasses import dataclass
 import pandas as pd
 from pyspark.sql import DataFrame
 
+from ..core.evaluation import PRF
 from ..core.names import entity_names, top_k_name_attrs
 from .bsl import entity_grams, pair_similarities, weighted_grams
+
+NEIGHBOR_WEIGHT = 0.4
+"""Weight of the matched-neighbour fraction in a pair's score (value: 1 - this)."""
+THRESHOLD = 0.3
+"""The greedy loop accepts no pair scoring below this."""
+MAX_CANDS_PER_ENTITY = 20
+"""Value-scored candidates kept per KB1 entity, best first."""
 
 
 @dataclass
@@ -51,9 +59,6 @@ def run_sigma(
     pdf1: pd.DataFrame,
     pdf2: pd.DataFrame,
     gt_pdf: pd.DataFrame,
-    neighbor_weight: float = 0.4,
-    threshold: float = 0.3,
-    max_cands_per_entity: int = 20,
 ) -> SigmaResult:
     """Run the greedy propagation loop and score against the ground truth.
 
@@ -68,7 +73,7 @@ def run_sigma(
     sims = (
         sims.sort_values("sigma", ascending=False)
         .groupby("eid1")
-        .head(max_cands_per_entity)
+        .head(MAX_CANDS_PER_ENTITY)
     )
     n1 = entity_names(triples1, top_k_name_attrs(triples1, 1)).toPandas()
     n2 = entity_names(triples2, top_k_name_attrs(triples2, 1)).toPandas()
@@ -97,8 +102,8 @@ def run_sigma(
         return hits / max(len(na), len(nb))
 
     def score(a: int, b: int) -> float:
-        return (1 - neighbor_weight) * valsim.get((a, b), 0.0) + (
-            neighbor_weight
+        return (1 - NEIGHBOR_WEIGHT) * valsim.get((a, b), 0.0) + (
+            NEIGHBOR_WEIGHT
         ) * nbr_score(a, b)
 
     for a, b in zip(seeds.eid1.astype(int), seeds.eid2.astype(int)):
@@ -117,7 +122,7 @@ def run_sigma(
         if a in m1 or b in m2:
             continue
         s = score(a, b)
-        if s < threshold:
+        if s < THRESHOLD:
             continue
         if s < -neg - 1e-12:
             heapq.heappush(heap, (-s, a, b))  # stale (score dropped): retry
@@ -133,9 +138,7 @@ def run_sigma(
     matches = pd.DataFrame(
         {"eid1": list(m1.keys()), "eid2": [m1[k] for k in m1]}
     )
-    n_m, n_gt = len(matches), len(gt_pdf)
+    n_m = len(matches)
     hit = len(matches.merge(gt_pdf, on=["eid1", "eid2"])) if n_m else 0
-    p = 100.0 * hit / n_m if n_m else 0.0
-    r = 100.0 * hit / n_gt if n_gt else 0.0
-    f1 = 2 * p * r / (p + r) if p + r else 0.0
-    return SigmaResult(matches=matches, precision=p, recall=r, f1=f1)
+    prf = PRF.from_counts(n_m, len(gt_pdf), hit)
+    return SigmaResult(matches, prf.precision, prf.recall, prf.f1)

@@ -16,7 +16,7 @@ import pandas as pd
 
 
 def unique_mapping_clustering(
-    scored: pd.DataFrame, threshold: float = 0.0, sim_col: str = "sim"
+    scored: pd.DataFrame, threshold: float = 0.0
 ) -> pd.DataFrame:
     """Greedy 1-1 matching over ``(eid1, eid2, sim)`` rows.
 
@@ -25,9 +25,9 @@ def unique_mapping_clustering(
     """
     if scored.empty:
         return scored.head(0)
-    s = scored[scored[sim_col] >= threshold]
+    s = scored[scored["sim"] >= threshold]
     s = s.sort_values(
-        [sim_col, "eid1", "eid2"], ascending=[False, True, True], kind="mergesort"
+        ["sim", "eid1", "eid2"], ascending=[False, True, True], kind="mergesort"
     )
     taken1: set[int] = set()
     taken2: set[int] = set()

@@ -10,9 +10,8 @@ that token half plus the two KBs' entity names, as a :class:`Blocking`.
 harness gives ``Blocking.candidate_pairs()`` (the unpruned disjunctive
 blocking graph) to BSL and SiGMa-lite. ``graph.build_graph`` calls
 ``token_blocking`` itself, so that the token half runs concurrently with
-name discovery, and assembles its ``Blocking`` from the two halves. Whoever
-calls ``token_blocking`` or ``composite_blocking`` owns the cached tokens
-and releases them (``Blocking.unpersist()``).
+name discovery. Whoever calls ``token_blocking`` or ``composite_blocking``
+owns the cached tokens and releases them (``Blocking.unpersist()``).
 
 Token blocking creates one block per token shared by the two KBs; the
 block's comparison cardinality is ``EF1(t) * EF2(t)``. Block Purging
@@ -20,9 +19,9 @@ removes the stop-word-like blocks whose tokens carry near-zero valueSim
 weight anyway (paper Section 3.3, deferring to [26]). The automatic
 threshold is derived from that weight (DESIGN.md section 5): a block of
 ``c`` comparisons gives its token weight ``1/log2(c+1)``, so dropping
-weights below 0.1 caps a block at ``c <= 1023`` comparisons, whatever the
-size of the KB pair. Name blocking creates one block per normalized name
-shared by the two KBs.
+weights below ``MIN_TOKEN_WEIGHT`` = 0.1 caps a block at ``c <= 1023``
+comparisons, whatever the size of the KB pair. Name blocking creates one
+block per normalized name shared by the two KBs.
 """
 from __future__ import annotations
 
@@ -31,8 +30,12 @@ from dataclasses import dataclass
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from .evaluation import evaluate
 from .names import name_block_index, name_pairs
 from .tokens import entity_frequency, literal_tokens, pair_token_weights
+
+MIN_TOKEN_WEIGHT = 0.1
+"""Block Purging drops the token blocks whose token weight is below this."""
 
 
 def token_block_index(tokens1: DataFrame, tokens2: DataFrame) -> DataFrame:
@@ -46,22 +49,20 @@ def token_block_index(tokens1: DataFrame, tokens2: DataFrame) -> DataFrame:
 
 
 def purge_blocks(
-    block_index: DataFrame,
-    max_comparisons: int | None = None,
-    min_weight: float = 0.1,
+    block_index: DataFrame, max_comparisons: int | None = None
 ) -> tuple[DataFrame, int]:
     """Drop excessively large token blocks; return (kept blocks, threshold).
 
     If ``max_comparisons`` is not given, it is derived from Def. 2.1's
     weighting: a block of cardinality ``EF1*EF2 = c`` carries token
     weight ``1/log2(c+1)``, so dropping blocks with weight below
-    ``min_weight`` means ``c > 2**(1/min_weight) - 1`` (1023 for the
-    default 0.1). These are exactly the stop-word blocks whose tokens
-    contribute ~nothing to valueSim, so recall is preserved — the stated
-    goal of Block Purging [26] in the paper.
+    ``MIN_TOKEN_WEIGHT`` means ``c > 2**(1/MIN_TOKEN_WEIGHT) - 1`` (1023).
+    These are exactly the stop-word blocks whose tokens contribute
+    ~nothing to valueSim, so recall is preserved — the stated goal of
+    Block Purging [26] in the paper.
     """
     if max_comparisons is None:
-        max_comparisons = int(2 ** (1.0 / min_weight)) - 1
+        max_comparisons = int(2 ** (1.0 / MIN_TOKEN_WEIGHT)) - 1
     return (
         block_index.filter(F.col("comparisons") <= max_comparisons),
         max_comparisons,
@@ -168,8 +169,8 @@ def block_stats(
     """Compute Table 2: block counts, cardinalities, and blocking P/R/F1.
 
     Blocking "predicts" every pair co-occurring in a (purged) token
-    block or a name block; precision/recall are measured against the
-    ground truth over those candidate pairs, as in the paper.
+    block or a name block; precision/recall are those candidate pairs
+    ``evaluate``d against the ground truth, as in the paper.
     """
     b = composite_blocking(triples1, triples2, names1, names2, max_comparisons)
     try:
@@ -181,16 +182,9 @@ def block_stats(
             .agg(F.count("*"), F.sum(F.col("cnt1") * F.col("cnt2")))
             .first()
         )
-
-        cand = b.candidate_pairs()
-        n_cand = cand.count()
-        n_gt = gt.count()
-        hit = cand.join(gt, ["eid1", "eid2"]).count()
+        prf = evaluate(b.candidate_pairs(), gt)
     finally:
         b.unpersist()
-    prec = 100.0 * hit / n_cand if n_cand else 0.0
-    rec = 100.0 * hit / n_gt if n_gt else 0.0
-    f1 = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
 
     n1 = triples1.select("eid").distinct().count()
     n2 = triples2.select("eid").distinct().count()
@@ -200,8 +194,8 @@ def block_stats(
         name_comparisons=int(name_comps or 0),
         token_comparisons=int(token_comps or 0),
         cartesian=n1 * n2,
-        precision=prec,
-        recall=rec,
-        f1=f1,
+        precision=prf.precision,
+        recall=prf.recall,
+        f1=prf.f1,
         purge_threshold=b.purge_threshold,
     )

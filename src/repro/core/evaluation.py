@@ -25,6 +25,15 @@ class PRF:
     n_gt: int
     n_correct: int
 
+    @classmethod
+    def from_counts(cls, n_matches: int, n_gt: int, n_correct: int) -> PRF:
+        """The scores of ``n_correct`` true pairs among ``n_matches`` proposed
+        ones, against ``n_gt`` true pairs; an empty side scores 0."""
+        p = 100.0 * n_correct / n_matches if n_matches else 0.0
+        r = 100.0 * n_correct / n_gt if n_gt else 0.0
+        f1 = 2 * p * r / (p + r) if p + r else 0.0
+        return cls(p, r, f1, n_matches, n_gt, n_correct)
+
     def row(self) -> dict[str, float]:
         return {
             "precision": round(self.precision, 2),
@@ -51,7 +60,4 @@ def evaluate(matches: DataFrame, gt: DataFrame) -> PRF:
         )
         .collect()[0]
     )
-    p = 100.0 * n_ok / n_m if n_m else 0.0
-    r = 100.0 * n_ok / n_gt if n_gt else 0.0
-    f1 = 2 * p * r / (p + r) if p + r else 0.0
-    return PRF(p, r, f1, n_m, n_gt, n_ok)
+    return PRF.from_counts(n_m, n_gt, n_ok)

@@ -28,8 +28,7 @@ overlap another's tasks; a level starts when the one before has returned:
 3. gamma, cached, from the retained beta edges and the in-neighbours;
    both of its top-K directions are checkpointed at once.
 
-``build_graph`` assembles the pair's ``blocking.Blocking`` from the token
-half and the names. The five returned frames are eager local checkpoints:
+The five frames ``build_graph`` returns are eager local checkpoints:
 each is a single-leaf plan, so Algorithm 2 plans over the pruned graph
 instead of re-embedding Algorithm 1's lineage in every rule. The frames
 cached on the way (the tokens, beta, both in-neighbour frames and gamma)
@@ -44,7 +43,7 @@ from dataclasses import dataclass
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
-from .blocking import Blocking, beta_scores, token_blocking
+from .blocking import beta_scores, token_blocking
 from .config import MinoanerConfig
 from .names import alpha_edges, entity_names, top_k_name_attrs
 from .parallel import concurrently
@@ -172,14 +171,15 @@ def build_graph(
         names1 = entity_names(triples1, attrs1)
         names2 = entity_names(triples2, attrs2)
         alpha = alpha_edges(names1, names2).localCheckpoint()
-        return attrs1, attrs2, names1, names2, alpha
+        return attrs1, attrs2, alpha
 
     def value():
-        token_half = token_blocking(triples1, triples2, cfg.purge_max_comparisons)
-        t1, t2, kept, _ = token_half
+        t1, t2, kept, threshold = token_blocking(
+            triples1, triples2, cfg.purge_max_comparisons
+        )
         cached.extend((t1, t2))
         beta = keep(beta_scores(t1, t2, kept))
-        return token_half, *_top_k_leaves(beta, "beta", cfg.K)
+        return threshold, *_top_k_leaves(beta, "beta", cfg.K)
 
     def neighbours():
         topin1, topin2 = (
@@ -193,9 +193,8 @@ def build_graph(
         name_half, value_half, (topin1, topin2) = concurrently(
             session, names, value, neighbours
         )
-        name_attrs1, name_attrs2, names1, names2, alpha = name_half
-        token_half, beta_out1, beta_out2 = value_half
-        blocking = Blocking(*token_half, names1, names2)
+        name_attrs1, name_attrs2, alpha = name_half
+        purge_threshold, beta_out1, beta_out2 = value_half
 
         retained_beta = (
             beta_out1.select("eid1", "eid2", "beta")
@@ -219,5 +218,5 @@ def build_graph(
         n2=n2,
         name_attrs1=name_attrs1,
         name_attrs2=name_attrs2,
-        purge_threshold=blocking.purge_threshold,
+        purge_threshold=purge_threshold,
     )

@@ -77,23 +77,19 @@ def _rank_scores(edges: DataFrame, node: str, weight: float) -> DataFrame:
 
 
 def rule3(
-    g: BlockingGraph,
-    matched: DataFrame | None = None,
-    theta: float = 0.6,
-    mutual: bool = True,
+    g: BlockingGraph, matched: DataFrame | None = None, theta: float = 0.6
 ) -> DataFrame:
     """R3: threshold-free rank aggregation of value and neighbor lists.
 
     Every unmatched node of E1 and of E2 computes its best aggregate
-    candidate. With ``mutual=True`` (default) a pair is a match only
-    when *both* endpoints pick each other — the paper's "two entities
-    match only if both of them agree" rationale, and the reading
-    required for consistency with its Table 4 (R3's precision ~= recall
-    on KBs where most entities are unmatched is impossible if every
-    unmatched node emitted its one-sided top pick; MinoanER also states
-    it employs Unique Mapping Clustering, which mutual top-picks
-    implement non-iteratively). ``mutual=False`` gives the literal
-    one-sided union of Alg. 2.
+    candidate, and a pair is a match only when *both* endpoints pick each
+    other — the paper's "two entities match only if both of them agree"
+    rationale, and the reading required for consistency with its Table 4
+    (R3's precision ~= recall on KBs where most entities are unmatched is
+    impossible if every unmatched node emitted its one-sided top pick, as
+    a literal reading of Alg. 2 would; MinoanER also states it employs
+    Unique Mapping Clustering, which mutual top-picks implement
+    non-iteratively).
     """
 
     def one_direction(beta_out: DataFrame, gamma_out: DataFrame, node: str) -> DataFrame:
@@ -123,25 +119,13 @@ def rule3(
 
     d1 = one_direction(g.beta_out1, g.gamma_out1, "eid1")
     d2 = one_direction(g.beta_out2, g.gamma_out2, "eid2")
-    picked = d1.join(d2, _PAIR) if mutual else d1.union(d2).distinct()
-    return picked.withColumn("rule", F.lit("R3"))
+    return d1.join(d2, _PAIR).withColumn("rule", F.lit("R3"))
 
 
 def rule4(matches: DataFrame, g: BlockingGraph) -> DataFrame:
     """R4: keep only reciprocally connected matches (Alg. 2 lines 24-26)."""
     return matches.join(g.directed_from1(), _PAIR, "left_semi").join(
         g.directed_from2(), _PAIR, "left_semi"
-    )
-
-
-def _first_rule_wins(matches: DataFrame) -> DataFrame:
-    """Deduplicate pairs, attributing each to the earliest rule."""
-    order = F.when(F.col("rule") == "R1", 1).when(F.col("rule") == "R2", 2).otherwise(3)
-    w = Window.partitionBy(*_PAIR).orderBy(order.asc())
-    return (
-        matches.withColumn("_rk", F.row_number().over(w))
-        .filter(F.col("_rk") == 1)
-        .select(*_PAIR, "rule")
     )
 
 
@@ -156,7 +140,8 @@ def match_graph(
     """Algorithm 2 end to end; rule toggles drive the Table 4 ablation.
 
     Returns ``(eid1, eid2, rule)``. Rules run in order, each skipping
-    entities matched by earlier rules; R4 filters the union. R2's and R3's
+    entities matched by earlier rules, so no pair comes from two rules and
+    none twice from one; R4 filters the union. R2's and R3's
     outputs are eager local checkpoints, so later rules and the ``matched``
     exclusions plan over leaves rather than over the rules before them.
     R1 needs none: it is a projection of the alpha leaf.
@@ -182,5 +167,4 @@ def match_graph(
     all_matches = parts[0]
     for df in parts[1:]:
         all_matches = all_matches.unionByName(df)
-    all_matches = _first_rule_wins(all_matches)
     return rule4(all_matches, g) if use_r4 else all_matches

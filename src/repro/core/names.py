@@ -12,6 +12,8 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from .relations import harmonic_mean
+
 
 def attribute_importance(triples: DataFrame, n_entities: int | None = None) -> DataFrame:
     """``(attr, support, discriminability, importance)`` over literal attrs.
@@ -30,16 +32,7 @@ def attribute_importance(triples: DataFrame, n_entities: int | None = None) -> D
     return (
         per_attr.withColumn("support", F.col("subjects") / F.lit(float(n_entities)))
         .withColumn("discriminability", F.col("objects") / F.col("instances"))
-        .withColumn(
-            "importance",
-            F.when(
-                (F.col("support") + F.col("discriminability")) > 0,
-                2.0
-                * F.col("support")
-                * F.col("discriminability")
-                / (F.col("support") + F.col("discriminability")),
-            ).otherwise(F.lit(0.0)),
-        )
+        .withColumn("importance", harmonic_mean("support", "discriminability"))
         .select("attr", "support", "discriminability", "importance")
     )
 

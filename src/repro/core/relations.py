@@ -11,7 +11,7 @@ reverse mapping (``topInNeighbors``) feeds the gamma computation.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame, Window
+from pyspark.sql import Column, DataFrame, Window
 from pyspark.sql import functions as F
 
 
@@ -22,6 +22,17 @@ def relation_edges(triples: DataFrame) -> DataFrame:
         .select("eid", F.col("attr").alias("rel"), "obj")
         .distinct()
     )
+
+
+def harmonic_mean(a: str, b: str) -> Column:
+    """The harmonic mean of columns ``a`` and ``b``, 0 where both are 0.
+
+    Importance is the harmonic mean of support and discriminability, for
+    relations and for the literal attributes that give entity names
+    (paper Section 2.2).
+    """
+    x, y = F.col(a), F.col(b)
+    return F.when((x + y) > 0, 2.0 * x * y / (x + y)).otherwise(F.lit(0.0))
 
 
 def relation_importance(triples: DataFrame, n_entities: int | None = None) -> DataFrame:
@@ -37,16 +48,7 @@ def relation_importance(triples: DataFrame, n_entities: int | None = None) -> Da
     return (
         per_rel.withColumn("support", F.col("instances") / F.lit(denom))
         .withColumn("discriminability", F.col("objects") / F.col("instances"))
-        .withColumn(
-            "importance",
-            F.when(
-                (F.col("support") + F.col("discriminability")) > 0,
-                2.0
-                * F.col("support")
-                * F.col("discriminability")
-                / (F.col("support") + F.col("discriminability")),
-            ).otherwise(F.lit(0.0)),
-        )
+        .withColumn("importance", harmonic_mean("support", "discriminability"))
         .select("rel", "support", "discriminability", "importance")
     )
 

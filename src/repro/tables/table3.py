@@ -11,7 +11,7 @@ from pyspark.sql import SparkSession
 from ..core import DEFAULT_CONFIG, run_minoaner
 from ..core.blocking import composite_blocking
 from ..core.names import entity_names
-from ..baselines import run_bsl, run_paris, run_sigma
+from ..baselines import paris, run_bsl, run_paris, run_sigma, sigma
 from .fmt import format_rows
 from .pairs import profile_pairs
 
@@ -21,9 +21,6 @@ def table3_rows(
     profiles: list[str] | None = None,
     seed: int = 7,
     sf: float | None = None,
-    bsl_ns: tuple[int, ...] = (1, 2, 3),
-    with_sigma: bool = True,
-    with_paris: bool = True,
 ) -> list[dict]:
     rows = []
     for name, pair in profile_pairs(spark, profiles, seed, sf):
@@ -52,12 +49,8 @@ def table3_rows(
         )
         pairs = blocking.candidate_pairs().cache()
         try:
-            bsl = run_bsl(t1, t2, pairs, pair.gt_pdf, ns=bsl_ns)
-            sg = (
-                run_sigma(t1, t2, pairs, pair.pdf1, pair.pdf2, pair.gt_pdf)
-                if with_sigma
-                else None
-            )
+            bsl = run_bsl(t1, t2, pairs, pair.gt_pdf)
+            sg = run_sigma(t1, t2, pairs, pair.pdf1, pair.pdf2, pair.gt_pdf)
         finally:
             pairs.unpersist()
             blocking.unpersist()
@@ -72,29 +65,28 @@ def table3_rows(
             }
         )
 
-        if sg is not None:
-            rows.append(
-                {
-                    "dataset": name,
-                    "method": "SiGMa-lite",
-                    "precision": round(sg.precision, 2),
-                    "recall": round(sg.recall, 2),
-                    "f1": round(sg.f1, 2),
-                    "config": "seeds=names,lambda=0.4,t=0.15",
-                }
-            )
-        if with_paris:
-            pr = run_paris(pair.pdf1, pair.pdf2, pair.gt_pdf)
-            rows.append(
-                {
-                    "dataset": name,
-                    "method": "PARIS-lite",
-                    "precision": round(pr.precision, 2),
-                    "recall": round(pr.recall, 2),
-                    "f1": round(pr.f1, 2),
-                    "config": "iters=3,t=0.5",
-                }
-            )
+        rows.append(
+            {
+                "dataset": name,
+                "method": "SiGMa-lite",
+                "precision": round(sg.precision, 2),
+                "recall": round(sg.recall, 2),
+                "f1": round(sg.f1, 2),
+                "config": f"seeds=names,lambda={sigma.NEIGHBOR_WEIGHT},"
+                f"t={sigma.THRESHOLD}",
+            }
+        )
+        pr = run_paris(pair.pdf1, pair.pdf2, pair.gt_pdf)
+        rows.append(
+            {
+                "dataset": name,
+                "method": "PARIS-lite",
+                "precision": round(pr.precision, 2),
+                "recall": round(pr.recall, 2),
+                "f1": round(pr.f1, 2),
+                "config": f"iters={paris.ITERATIONS},t={paris.ACCEPT_THRESHOLD}",
+            }
+        )
     return rows
 
 

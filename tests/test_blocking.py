@@ -84,7 +84,7 @@ class TestPurgeBlocks:
     def test_auto_threshold_is_weight_derived(self, spark, blockkbs):
         k1, k2 = blockkbs
         idx = token_block_index(literal_tokens(k1), literal_tokens(k2))
-        kept, thr = purge_blocks(idx, min_weight=0.1)
+        kept, thr = purge_blocks(idx)
         assert thr == 2**10 - 1
         assert kept.count() == idx.count()  # nothing here is that big
 
@@ -188,6 +188,16 @@ class TestBlockStats:
     def test_counts_positive(self, stats):
         assert stats.n_name_blocks > 0
         assert stats.n_token_blocks > 0
+
+    def test_duplicate_truth_counts_once(self, spark, blockkbs):
+        k1, k2 = blockkbs
+        names = entity_names(k1, []), entity_names(k2, [])
+
+        def prf(truth):
+            s = block_stats(k1, k2, *names, gt_df(spark, truth))
+            return s.precision, s.recall, s.f1
+
+        assert prf([(1, 11), (1, 11), (2, 13)]) == prf([(1, 11), (2, 13)])
 
     def test_releases_its_tokens(self, spark, blockkbs):
         k1, k2 = blockkbs

@@ -9,8 +9,10 @@ from __future__ import annotations
 import pandas as pd
 import pytest
 
+from repro.core import DEFAULT_CONFIG
 from repro.core.graph import BlockingGraph
 from repro.core.matching import match_graph, rule1, rule2, rule3, rule4
+from repro.tables.table4 import VARIANTS
 
 BETA_COLS = ["eid1", "eid2", "beta", "rank"]
 GAMMA_COLS = ["eid1", "eid2", "gamma", "rank"]
@@ -138,17 +140,6 @@ class TestRule3:
         )
         assert rule3(g).count() == 0
 
-    def test_literal_mode_keeps_one_sided_union(self, spark):
-        g = mkgraph(
-            spark,
-            b1=[(1, 11, 0.5, 1)],
-            b2=[(2, 11, 0.9, 1), (1, 11, 0.5, 2)],
-            g1=[(1, 11, 3.0, 1)],
-            g2=[(2, 11, 5.0, 1), (1, 11, 3.0, 2)],
-        )
-        got = pairs(rule3(g, mutual=False))
-        assert (1, 11) in got  # node 1's one-sided pick survives
-
     def test_winner_needs_both_lists(self, spark):
         # candidate has only value evidence -> rejected even if mutual
         g = mkgraph(
@@ -249,6 +240,13 @@ class TestMatchGraph:
         rows = {(r.eid1, r.eid2): r.rule for r in match_graph(g).collect()}
         assert (1, 12) not in rows
         assert rows[(2, 13)] == "R2"
+
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    def test_no_pair_twice(self, micro_graph, variant):
+        """Each rule skips the entities matched before it, so the union
+        needs no dedupe: every row is a distinct pair."""
+        m = match_graph(micro_graph, DEFAULT_CONFIG.theta, **VARIANTS[variant])
+        assert m.count() == m.select("eid1", "eid2").distinct().count()
 
     def test_full_flow_on_micro(self, micro_result, micro_pair):
         prf = micro_result.prf

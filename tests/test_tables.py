@@ -3,8 +3,9 @@ from __future__ import annotations
 
 import pytest
 
-from tests.kbutil import persistent_rdds
+from tests.kbutil import cached_rdds, persistent_rdds
 from repro import jobs
+from repro.baselines import paris, sigma
 from repro.tables import (
     format_rows,
     paper_numbers,
@@ -13,6 +14,7 @@ from repro.tables import (
     table2,
     table2_rows,
     table3,
+    table3_rows,
     table4,
     table4_rows,
 )
@@ -69,8 +71,8 @@ class TestFormat:
 class TestHarnesses:
     """Smoke the harnesses on the cheapest real profile (restaurant, scaled).
 
-    Table 3's full harness (BSL grid + iterative baselines) is covered by
-    the benchmarks; here we validate row structure on tables 1/2/4.
+    The benchmarks run them at bench scale and check the paper's shape;
+    here we validate row structure.
     """
 
     def test_table1_rows(self, spark):
@@ -88,6 +90,21 @@ class TestHarnesses:
         r = rows[0]
         assert r["recall"] >= 99.0
         assert r["token_comparisons"] + r["name_comparisons"] < r["cartesian"]
+
+    def test_table3_rows(self, spark):
+        before = cached_rdds(spark)
+        rows = table3_rows(spark, profiles=["restaurant"], sf=0.2)
+        assert cached_rdds(spark) <= before  # pair, matches and pairs released
+        by = {r["method"]: r for r in rows}
+        assert list(by) == ["MinoanER", "BSL", "SiGMa-lite", "PARIS-lite"]
+        assert all(0.0 <= r["f1"] <= 100.0 for r in rows)
+        # the printed settings are the ones the baselines ran with
+        sg = by["SiGMa-lite"]["config"]
+        assert f"lambda={sigma.NEIGHBOR_WEIGHT}," in sg
+        assert sg.endswith(f",t={sigma.THRESHOLD}")
+        assert by["PARIS-lite"]["config"] == (
+            f"iters={paris.ITERATIONS},t={paris.ACCEPT_THRESHOLD}"
+        )
 
     def test_table4_rows(self, spark):
         rows = table4_rows(spark, profiles=["restaurant"], sf=0.2)

@@ -46,8 +46,3 @@ class TestUMC:
         s = scored([(1, 10, 0.9), (2, 11, 0.8)])
         out = unique_mapping_clustering(s)
         assert len(out.merge(s, on=["eid1", "eid2"])) == len(out)
-
-    def test_custom_sim_col(self):
-        s = pd.DataFrame([(1, 10, 0.9)], columns=["eid1", "eid2", "score"])
-        out = unique_mapping_clustering(s, sim_col="score")
-        assert len(out) == 1
