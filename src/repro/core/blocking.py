@@ -6,9 +6,10 @@ half: it tokenizes both KBs, builds the token-block index and applies
 Block Purging, returning the cached tokens, the kept token blocks and the
 purge threshold. ``composite_blocking`` is the whole composite blocking:
 that token half plus the two KBs' entity names, as a :class:`Blocking`.
-``block_stats`` counts Table 2 from a ``Blocking``, and the Table 3
-harness gives ``Blocking.candidate_pairs()`` (the unpruned disjunctive
-blocking graph) to BSL and SiGMa-lite. ``graph.build_graph`` calls
+``Blocking.stats`` counts Table 2 and ``Blocking.candidate_pairs()`` is
+the unpruned disjunctive blocking graph BSL and SiGMa-lite score; the
+table harnesses share one ``Blocking`` per profile, and ``block_stats``
+blocks, counts and releases in one call. ``graph.build_graph`` calls
 ``token_blocking`` itself, so that the token half runs concurrently with
 name discovery. Whoever calls ``token_blocking`` or ``composite_blocking``
 owns the cached tokens and releases them (``Blocking.unpersist()``).
@@ -106,6 +107,34 @@ class Blocking:
         )
         return tokens.union(name_pairs(self.names1, self.names2)).distinct()
 
+    def stats(self, gt: DataFrame, n1: int, n2: int) -> BlockStats:
+        """Table 2 for this blocking of a pair of ``n1`` x ``n2`` entities.
+
+        Blocking "predicts" every pair co-occurring in a (purged) token
+        block or a name block; precision/recall are those candidate pairs
+        ``evaluate``d against the ground truth, as in the paper.
+        """
+        n_token_blocks, token_comps = self.kept.agg(
+            F.count("*"), F.sum("comparisons")
+        ).first()
+        n_name_blocks, name_comps = (
+            name_block_index(self.names1, self.names2)
+            .agg(F.count("*"), F.sum(F.col("cnt1") * F.col("cnt2")))
+            .first()
+        )
+        prf = evaluate(self.candidate_pairs(), gt)
+        return BlockStats(
+            n_name_blocks=n_name_blocks,
+            n_token_blocks=n_token_blocks,
+            name_comparisons=int(name_comps or 0),
+            token_comparisons=int(token_comps or 0),
+            cartesian=n1 * n2,
+            precision=prf.precision,
+            recall=prf.recall,
+            f1=prf.f1,
+            purge_threshold=self.purge_threshold,
+        )
+
     def unpersist(self) -> None:
         """Release the cached tokens."""
         self.tokens1.unpersist()
@@ -164,38 +193,12 @@ def block_stats(
     names1: DataFrame,
     names2: DataFrame,
     gt: DataFrame,
-    max_comparisons: int | None = None,
 ) -> BlockStats:
-    """Compute Table 2: block counts, cardinalities, and blocking P/R/F1.
-
-    Blocking "predicts" every pair co-occurring in a (purged) token
-    block or a name block; precision/recall are those candidate pairs
-    ``evaluate``d against the ground truth, as in the paper.
-    """
-    b = composite_blocking(triples1, triples2, names1, names2, max_comparisons)
+    """Compute Table 2 for a KB pair: block it, count it, release it."""
+    b = composite_blocking(triples1, triples2, names1, names2)
     try:
-        n_token_blocks, token_comps = b.kept.agg(
-            F.count("*"), F.sum("comparisons")
-        ).first()
-        n_name_blocks, name_comps = (
-            name_block_index(b.names1, b.names2)
-            .agg(F.count("*"), F.sum(F.col("cnt1") * F.col("cnt2")))
-            .first()
-        )
-        prf = evaluate(b.candidate_pairs(), gt)
+        n1 = triples1.select("eid").distinct().count()
+        n2 = triples2.select("eid").distinct().count()
+        return b.stats(gt, n1, n2)
     finally:
         b.unpersist()
-
-    n1 = triples1.select("eid").distinct().count()
-    n2 = triples2.select("eid").distinct().count()
-    return BlockStats(
-        n_name_blocks=n_name_blocks,
-        n_token_blocks=n_token_blocks,
-        name_comparisons=int(name_comps or 0),
-        token_comparisons=int(token_comps or 0),
-        cartesian=n1 * n2,
-        precision=prf.precision,
-        recall=prf.recall,
-        f1=prf.f1,
-        purge_threshold=b.purge_threshold,
-    )

@@ -20,6 +20,7 @@ from __future__ import annotations
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
+from .config import DEFAULT_CONFIG
 from .graph import BlockingGraph
 
 _PAIR = ["eid1", "eid2"]
@@ -77,7 +78,7 @@ def _rank_scores(edges: DataFrame, node: str, weight: float) -> DataFrame:
 
 
 def rule3(
-    g: BlockingGraph, matched: DataFrame | None = None, theta: float = 0.6
+    g: BlockingGraph, matched: DataFrame | None = None, theta: float = DEFAULT_CONFIG.theta
 ) -> DataFrame:
     """R3: threshold-free rank aggregation of value and neighbor lists.
 
@@ -131,7 +132,7 @@ def rule4(matches: DataFrame, g: BlockingGraph) -> DataFrame:
 
 def match_graph(
     g: BlockingGraph,
-    theta: float = 0.6,
+    theta: float = DEFAULT_CONFIG.theta,
     use_r1: bool = True,
     use_r2: bool = True,
     use_r3: bool = True,

@@ -1,8 +1,11 @@
 """End-to-end MinoanER pipeline: blocking graph + matching + scoring.
 
-``run_minoaner`` is the one-call entry used by jobs, benchmarks and the
-Table 3/4 harnesses. All heavy lifting is DataFrame work; only final
-P/R/F1 counts are collected to the driver.
+``run_minoaner`` is Algorithm 1 (``build_graph``), Algorithm 2
+(``match_graph``) and ``evaluate`` in one call, as perfbench and the
+tests use it. The table harnesses share one graph per profile across
+Tables 3 and 4 (``tables.pairs.ProfileRun``), so they call
+``match_graph`` and ``evaluate`` on it themselves. All heavy lifting is
+DataFrame work; only final P/R/F1 counts are collected to the driver.
 """
 from __future__ import annotations
 
@@ -18,10 +21,10 @@ from .matching import match_graph
 
 @dataclass
 class MinoanerResult:
-    """Everything a table harness needs from one pipeline run."""
+    """The graph, the matches and their P/R/F1 from one pipeline run."""
 
     graph: BlockingGraph
-    matches: DataFrame  # (eid1, eid2, rule)
+    matches: DataFrame  # (eid1, eid2, rule), cached; the caller unpersists it
     prf: PRF
 
 
@@ -30,25 +33,8 @@ def run_minoaner(
     triples2: DataFrame,
     gt: DataFrame,
     cfg: MinoanerConfig = DEFAULT_CONFIG,
-    use_r1: bool = True,
-    use_r2: bool = True,
-    use_r3: bool = True,
-    use_r4: bool = True,
-    graph: BlockingGraph | None = None,
 ) -> MinoanerResult:
-    """Build (or reuse) the blocking graph, match, and score against gt.
-
-    Passing a prebuilt ``graph`` lets the Table 4 ablation evaluate all
-    rule subsets without recomputing Algorithm 1.
-    """
-    if graph is None:
-        graph = build_graph(triples1, triples2, cfg)
-    matches = match_graph(
-        graph,
-        theta=cfg.theta,
-        use_r1=use_r1,
-        use_r2=use_r2,
-        use_r3=use_r3,
-        use_r4=use_r4,
-    ).cache()
+    """Build the blocking graph, match with R1-R4, and score against gt."""
+    graph = build_graph(triples1, triples2, cfg)
+    matches = match_graph(graph, cfg.theta).cache()
     return MinoanerResult(graph=graph, matches=matches, prf=evaluate(matches, gt))

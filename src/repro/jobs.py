@@ -4,10 +4,11 @@ Usage::
 
     python -m repro.jobs {table1,table2,table3,table4,all}
 
-The SparkSession is built here, once: 16 shuffle partitions, broadcast
-joins off (the shuffle paths the paper's Spark jobs take), log level
-ERROR. Master and driver memory come from ``spark-submit`` /
-``PYSPARK_SUBMIT_ARGS`` as usual.
+The tables asked for are computed in one pass over the profiles
+(``tables.pairs.run_tables``). The SparkSession is built here, once: 16
+shuffle partitions, broadcast joins off (the shuffle paths the paper's
+Spark jobs take), log level ERROR. Master and driver memory come from
+``spark-submit`` / ``PYSPARK_SUBMIT_ARGS`` as usual.
 """
 from __future__ import annotations
 
@@ -15,14 +16,10 @@ import argparse
 
 from pyspark.sql import SparkSession
 
-from .tables import table1, table2, table3, table4
+from .tables import format_rows, table1, table2, table3, table4
+from .tables.pairs import SEED, run_tables
 
-TABLES = {
-    "table1": table1.main,
-    "table2": table2.main,
-    "table3": table3.main,
-    "table4": table4.main,
-}
+TABLES = {"table1": table1, "table2": table2, "table3": table3, "table4": table4}
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -38,9 +35,11 @@ def main(argv: list[str] | None = None) -> None:
         .getOrCreate()
     )
     spark.sparkContext.setLogLevel("ERROR")
+    chosen = [TABLES[t] for t in (TABLES if args.table == "all" else [args.table])]
     try:
-        for name in TABLES if args.table == "all" else [args.table]:
-            print(TABLES[name](spark))
+        all_rows = run_tables(spark, [t.rows for t in chosen], None, SEED, None)
+        for table, rows in zip(chosen, all_rows):
+            print(format_rows(table.TITLE, rows))
     finally:
         spark.stop()
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from ..core.tokens import TOKEN_SPLIT, literal_tokens
+from ..core.tokens import TOKEN_SPLIT
 from .generator import KBPair
 
 
@@ -18,10 +18,8 @@ def kb_stats(triples: DataFrame) -> dict[str, float]:
     """Table-1 statistics for one KB (single pass per metric)."""
     n_entities = triples.select("eid").distinct().count()
     n_triples = triples.count()
-    toks = literal_tokens(triples)
-    # tokens are de-duplicated per entity by literal_tokens; the paper's
-    # "av. tokens" counts tokens in values, so count token *occurrences*
-    # from the raw values instead.
+    # the paper's "av. tokens" counts token *occurrences* in the raw values,
+    # not the per-entity distinct tokens of ``literal_tokens``
     occurrences = (
         triples.filter(F.col("val").isNotNull())
         .select(F.explode(F.split(F.lower(F.col("val")), TOKEN_SPLIT)).alias("token"))
@@ -57,7 +55,6 @@ def kb_stats(triples: DataFrame) -> dict[str, float]:
         "relations": relations,
         "types": types,
         "vocabularies": vocabularies,
-        "distinct_tokens": toks.select("token").distinct().count(),
     }
 
 

@@ -1,18 +1,20 @@
 """Table 4 harness: matching-rule ablation per profile.
 
 Rows, as in the paper: R1 alone, R2 alone, R3 alone, the full workflow
-without R4 ("¬R4"), and the full workflow without R3 ("No Neighbors").
-All variants share one blocking graph per dataset (Algorithm 1 runs
-once), mirroring how the paper isolates Algorithm 2's rules.
+without R4 ("¬R4"), the full workflow without R3 ("No Neighbors"), and
+the full workflow. Every variant runs Algorithm 2 (``match_graph``) over
+the run's one blocking graph — Algorithm 1 runs once per profile, shared
+with Table 3's MinoanER row — mirroring how the paper isolates
+Algorithm 2's rules.
 """
 from __future__ import annotations
 
 from pyspark.sql import SparkSession
 
-from ..core import DEFAULT_CONFIG, run_minoaner
-from ..core.graph import build_graph
-from .fmt import format_rows
-from .pairs import profile_pairs
+from ..core import DEFAULT_CONFIG, evaluate, match_graph
+from .pairs import SEED, ProfileRun, run_tables
+
+TITLE = "Table 4 — matching-rule ablation (ours)"
 
 VARIANTS = {
     "R1": dict(use_r1=True, use_r2=False, use_r3=False, use_r4=False),
@@ -24,24 +26,22 @@ VARIANTS = {
 }
 
 
+def rows(run: ProfileRun) -> list[dict]:
+    """One row per variant of the profile."""
+    return [
+        {
+            "dataset": run.name,
+            "variant": variant,
+            **evaluate(
+                match_graph(run.graph, DEFAULT_CONFIG.theta, **toggles), run.pair.gt
+            ).row(),
+        }
+        for variant, toggles in VARIANTS.items()
+    ]
+
+
 def table4_rows(
-    spark: SparkSession,
-    profiles: list[str] | None = None,
-    seed: int = 7,
-    sf: float | None = None,
+    spark: SparkSession, profiles: list[str] | None = None, seed: int = SEED, sf: float | None = None
 ) -> list[dict]:
-    rows = []
-    for name, pair in profile_pairs(spark, profiles, seed, sf):
-        t1, t2 = pair.triples1, pair.triples2
-        graph = build_graph(t1, t2, DEFAULT_CONFIG)
-        for variant, toggles in VARIANTS.items():
-            res = run_minoaner(
-                t1, t2, pair.gt, DEFAULT_CONFIG, graph=graph, **toggles
-            )
-            res.matches.unpersist()
-            rows.append({"dataset": name, "variant": variant, **res.prf.row()})
-    return rows
-
-
-def main(spark: SparkSession) -> str:
-    return format_rows("Table 4 — matching-rule ablation (ours)", table4_rows(spark))
+    """Six rows per profile (Table 4 alone)."""
+    return run_tables(spark, [rows], profiles, seed, sf)[0]

@@ -8,7 +8,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import DEFAULT_CONFIG, run_minoaner
+from repro.core import (
+    DEFAULT_CONFIG,
+    MinoanerResult,
+    evaluate,
+    match_graph,
+    run_minoaner,
+)
 from repro.core.graph import build_graph
 from repro.kbgen import MICRO, PROFILES, generate_kb_pair
 from repro.kbgen.profiles import scaled
@@ -37,13 +43,10 @@ def micro_graph(micro_pair):
 
 @pytest.fixture(scope="session")
 def micro_result(micro_pair, micro_graph):
-    return run_minoaner(
-        micro_pair.triples1,
-        micro_pair.triples2,
-        micro_pair.gt,
-        DEFAULT_CONFIG,
-        graph=micro_graph,
-    )
+    """Algorithm 2 and ``evaluate`` over ``micro_graph``: ``run_minoaner``
+    without re-running Algorithm 1."""
+    matches = match_graph(micro_graph, DEFAULT_CONFIG.theta).cache()
+    return MinoanerResult(micro_graph, matches, evaluate(matches, micro_pair.gt))
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import DEFAULT_CONFIG, MinoanerConfig, run_minoaner
+from repro.core import DEFAULT_CONFIG, MinoanerConfig, evaluate, run_minoaner
 from repro.core.matching import match_graph
 
 
@@ -24,6 +24,13 @@ class TestEndToEnd:
         # benchmarks/bench_table3.py.
         assert restaurant_small_result.prf.recall >= 90.0
         assert restaurant_small_result.prf.f1 >= 82.0
+
+    def test_run_minoaner_is_match_graph_over_build_graph(self, micro_pair, micro_result):
+        """``run_minoaner`` scores as Algorithm 2 + ``evaluate`` over the
+        micro graph (``micro_result``), the sharing the table harnesses do."""
+        res = run_minoaner(micro_pair.triples1, micro_pair.triples2, micro_pair.gt)
+        res.matches.unpersist()
+        assert res.prf == micro_result.prf
 
     def test_matches_are_cross_kb_pairs(self, micro_result, micro_pair):
         e1 = {r.eid for r in micro_pair.triples1.select("eid").distinct().collect()}
@@ -47,14 +54,8 @@ class TestEndToEnd:
 
 @pytest.mark.parametrize("theta", [0.4, 0.5, 0.7])
 def test_sensitivity_theta(micro_pair, micro_graph, theta):
-    res = run_minoaner(
-        micro_pair.triples1,
-        micro_pair.triples2,
-        micro_pair.gt,
-        MinoanerConfig(theta=theta),
-        graph=micro_graph,
-    )
-    assert res.prf.f1 >= 75.0
+    # theta only enters Algorithm 2, so the default graph serves every value
+    assert evaluate(match_graph(micro_graph, theta), micro_pair.gt).f1 >= 75.0
 
 
 @pytest.mark.parametrize("K", [5, 25])

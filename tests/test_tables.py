@@ -1,6 +1,9 @@
 """Tests for the table harnesses and the transcribed paper numbers."""
 from __future__ import annotations
 
+from collections import Counter
+from unittest import mock
+
 import pytest
 
 from tests.kbutil import cached_rdds, persistent_rdds
@@ -8,6 +11,7 @@ from repro import jobs
 from repro.baselines import paris, sigma
 from repro.tables import (
     format_rows,
+    pairs,
     paper_numbers,
     table1,
     table1_rows,
@@ -18,6 +22,57 @@ from repro.tables import (
     table4,
     table4_rows,
 )
+from repro.tables.pairs import ProfileRun, run_tables
+
+PROFILE = ["restaurant"]  # the cheapest real profile, scaled by SF
+SF = 0.2
+COUNTED = ("generate_kb_pair", "build_graph", "composite_blocking")
+HARNESSES = {"table2": table2_rows, "table3": table3_rows, "table4": table4_rows}
+
+
+def _count_calls(mp: pytest.MonkeyPatch, calls: Counter) -> None:
+    """Count the calls ``tables.pairs`` makes to the functions in ``COUNTED``."""
+    for name in COUNTED:
+        real = getattr(pairs, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        mp.setattr(pairs, name, counted)
+
+
+@pytest.fixture(scope="module")
+def single(spark):
+    """Tables 2-4, each harness alone: ``{table: (rows, calls, new persistent
+    RDDs, new cached RDDs)}``, the RDD sets taken around the harness."""
+    out = {}
+    for table, harness in HARNESSES.items():
+        calls: Counter = Counter()
+        persistent, cached = persistent_rdds(spark), cached_rdds(spark)
+        with pytest.MonkeyPatch.context() as mp:
+            _count_calls(mp, calls)
+            rows = harness(spark, profiles=PROFILE, sf=SF)
+        out[table] = (
+            rows,
+            calls,
+            persistent_rdds(spark) - persistent,
+            cached_rdds(spark) - cached,
+        )
+    return out
+
+
+@pytest.fixture(scope="module")
+def one_pass(spark):
+    """Tables 2-4 in one pass: ``({table: rows}, calls, new cached RDDs)``."""
+    calls: Counter = Counter()
+    cached = cached_rdds(spark)
+    with pytest.MonkeyPatch.context() as mp:
+        _count_calls(mp, calls)
+        rows = run_tables(
+            spark, [table2.rows, table3.rows, table4.rows], PROFILE, pairs.SEED, SF
+        )
+    return dict(zip(HARNESSES, rows)), calls, cached_rdds(spark) - cached
 
 
 class TestPaperNumbers:
@@ -76,25 +131,24 @@ class TestHarnesses:
     """
 
     def test_table1_rows(self, spark):
-        rows = table1_rows(spark, profiles=["restaurant"], sf=0.2)
+        rows = table1_rows(spark, profiles=PROFILE, sf=SF)
         assert len(rows) == 1
         r = rows[0]
         assert r["dataset"] == "restaurant"
         assert r["e1_entities"] > 0 and r["matches"] > 0
         assert "/" in r["attributes"]
 
-    def test_table2_rows(self, spark):
-        before = persistent_rdds(spark)
-        rows = table2_rows(spark, profiles=["restaurant"], sf=0.2)
-        assert persistent_rdds(spark) <= before  # pair and tokens released
+    def test_table2_rows(self, single):
+        rows, calls, new_persistent, _ = single["table2"]
+        assert not new_persistent  # pair and tokens released
+        assert calls["build_graph"] == 0  # Table 2 needs no graph
         r = rows[0]
         assert r["recall"] >= 99.0
         assert r["token_comparisons"] + r["name_comparisons"] < r["cartesian"]
 
-    def test_table3_rows(self, spark):
-        before = cached_rdds(spark)
-        rows = table3_rows(spark, profiles=["restaurant"], sf=0.2)
-        assert cached_rdds(spark) <= before  # pair, matches and pairs released
+    def test_table3_rows(self, single):
+        rows, _, _, new_cached = single["table3"]
+        assert not new_cached  # pair, tokens and candidate pairs released
         by = {r["method"]: r for r in rows}
         assert list(by) == ["MinoanER", "BSL", "SiGMa-lite", "PARIS-lite"]
         assert all(0.0 <= r["f1"] <= 100.0 for r in rows)
@@ -106,8 +160,8 @@ class TestHarnesses:
             f"iters={paris.ITERATIONS},t={paris.ACCEPT_THRESHOLD}"
         )
 
-    def test_table4_rows(self, spark):
-        rows = table4_rows(spark, profiles=["restaurant"], sf=0.2)
+    def test_table4_rows(self, single):
+        rows = single["table4"][0]
         variants = {r["variant"] for r in rows}
         assert variants == {"R1", "R2", "R3", "no_R4", "no_neighbors", "full"}
         full = next(r for r in rows if r["variant"] == "full")
@@ -116,14 +170,74 @@ class TestHarnesses:
         assert r1["precision"] >= 90.0  # name rule is precise by design
 
 
+class TestOnePass:
+    """Tables 2-4 in one pass share one KB pair, one graph and one blocking."""
+
+    def test_each_shared_piece_is_built_once(self, one_pass):
+        _, calls, _ = one_pass
+        assert calls == {name: len(PROFILE) for name in COUNTED}
+
+    def test_rows_equal_the_single_table_harnesses(self, one_pass, single):
+        rows, _, _ = one_pass
+        assert rows == {table: single[table][0] for table in HARNESSES}
+
+    def test_leaves_no_cached_frame(self, one_pass):
+        assert not one_pass[2]
+
+    def test_table3_minoaner_is_table4_full(self, one_pass):
+        rows, _, _ = one_pass
+        (minoaner,) = (r for r in rows["table3"] if r["method"] == "MinoanER")
+        (full,) = (r for r in rows["table4"] if r["variant"] == "full")
+        prf = ("precision", "recall", "f1")
+        assert [minoaner[k] for k in prf] == [full[k] for k in prf]
+
+    def test_failure_mid_pass_releases_the_run(self, spark, monkeypatch):
+        def failing_bsl(*args, **kwargs):
+            raise RuntimeError("BSL failed")
+
+        monkeypatch.setattr(table3, "run_bsl", failing_bsl)
+        before = cached_rdds(spark)
+        with pytest.raises(RuntimeError, match="BSL failed"):
+            run_tables(
+                spark, [table2.rows, table3.rows, table4.rows], PROFILE, pairs.SEED, SF
+            )
+        assert cached_rdds(spark) <= before
+
+    def test_shared_name_attrs_are_the_graphs(
+        self, restaurant_small_pair, restaurant_small_result
+    ):
+        """The blocking's name attributes, discovered without the graph, are
+        the ones Algorithm 1 finds."""
+        run = ProfileRun("restaurant", restaurant_small_pair)
+        g = restaurant_small_result.graph
+        assert run.name_attrs == (g.name_attrs1, g.name_attrs2)
+
+
 class TestJobs:
-    def test_each_table_runs_its_harness(self):
+    def test_each_table_runs_its_harness(self, monkeypatch, capsys):
+        """``all`` runs every table's ``rows`` in one pass and prints them in order."""
         assert jobs.TABLES == {
-            "table1": table1.main,
-            "table2": table2.main,
-            "table3": table3.main,
-            "table4": table4.main,
+            "table1": table1,
+            "table2": table2,
+            "table3": table3,
+            "table4": table4,
         }
+        passes = []
+
+        def fake_run_tables(spark, tables, profiles, seed, sf):
+            passes.append((tables, profiles, seed, sf))
+            return [[{"dataset": f"rows of {i}"}] for i in range(len(tables))]
+
+        monkeypatch.setattr(jobs, "SparkSession", mock.MagicMock())
+        monkeypatch.setattr(jobs, "run_tables", fake_run_tables)
+        jobs.main(["all"])
+        tables = (table1, table2, table3, table4)
+        assert passes == [([t.rows for t in tables], None, pairs.SEED, None)]
+        out = capsys.readouterr().out
+        positions = [out.index(t.TITLE) for t in tables]
+        assert positions == sorted(positions)
+        for i in range(len(tables)):
+            assert f"| rows of {i} |" in out
 
     def test_unknown_table_exits_nonzero(self, capsys):
         with pytest.raises(SystemExit) as exc:
