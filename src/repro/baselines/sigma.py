@@ -24,7 +24,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 
 from ..core.evaluation import PRF
-from ..core.names import entity_names, top_k_name_attrs
+from ..core.names import entity_names
 from .bsl import entity_grams, pair_similarities, weighted_grams
 
 NEIGHBOR_WEIGHT = 0.4
@@ -56,6 +56,7 @@ def run_sigma(
     triples1: DataFrame,
     triples2: DataFrame,
     pairs: DataFrame,
+    name_attrs: list[list[str]],
     pdf1: pd.DataFrame,
     pdf2: pd.DataFrame,
     gt_pdf: pd.DataFrame,
@@ -63,7 +64,9 @@ def run_sigma(
     """Run the greedy propagation loop and score against the ground truth.
 
     ``pairs`` is the unpruned disjunctive blocking graph ``(eid1, eid2)``,
-    as for BSL; only these pairs get a value score.
+    as for BSL; only these pairs get a value score. ``name_attrs`` are both
+    KBs' name attributes, best first (``Blocking.name_attrs``); the name
+    seeds come from each KB's first one.
     """
     # --- Spark side: value scores and name seeds ---------------------------
     g1 = entity_grams(triples1, 1)
@@ -75,8 +78,10 @@ def run_sigma(
         .groupby("eid1")
         .head(MAX_CANDS_PER_ENTITY)
     )
-    n1 = entity_names(triples1, top_k_name_attrs(triples1, 1)).toPandas()
-    n2 = entity_names(triples2, top_k_name_attrs(triples2, 1)).toPandas()
+    n1, n2 = (
+        entity_names(t, attrs[:1]).toPandas()
+        for t, attrs in zip((triples1, triples2), name_attrs)
+    )
     c1 = n1.name.value_counts()
     c2 = n2.name.value_counts()
     uniq = set(c1[c1 == 1].index) & set(c2[c2 == 1].index)

@@ -1,18 +1,15 @@
 """Composite blocking of one KB pair (Section 3.1) and its statistics (Table 2).
 
-This is the only module that knows how a KB pair is blocked. The token
-half and the name half are independent. ``token_blocking`` is the token
-half: it tokenizes both KBs, builds the token-block index and applies
-Block Purging, returning the cached tokens, the kept token blocks and the
-purge threshold. ``composite_blocking`` is the whole composite blocking:
-that token half plus the two KBs' entity names, as a :class:`Blocking`.
-``Blocking.stats`` counts Table 2 and ``Blocking.candidate_pairs()`` is
-the unpruned disjunctive blocking graph BSL and SiGMa-lite score; the
-table harnesses share one ``Blocking`` per profile, and ``block_stats``
-blocks, counts and releases in one call. ``graph.build_graph`` calls
-``token_blocking`` itself, so that the token half runs concurrently with
-name discovery. Whoever calls ``token_blocking`` or ``composite_blocking``
-owns the cached tokens and releases them (``Blocking.unpersist()``).
+This is the only module that knows how a KB pair is blocked. A
+:class:`Blocking` holds all a KB pair's evidence that Algorithm 1, Table 2,
+BSL and SiGMa-lite read: |E1|, |E2|, both KBs' top-k name attributes and
+names, the cached tokens, the purged token blocks and beta (cached).
+``composite_blocking`` builds it once per pair: it counts ``n1 ‖ n2``
+(``‖``: jobs submitted together, ``parallel.concurrently``); the rest is
+built when first read, the name attributes ``attrs1 ‖ attrs2``.
+``block_stats`` blocks with the names it is given, counts Table 2 and
+releases in one call. Whoever builds a ``Blocking`` releases it
+(``unpersist()``).
 
 Token blocking creates one block per token shared by the two KBs; the
 block's comparison cardinality is ``EF1(t) * EF2(t)``. Block Purging
@@ -27,12 +24,15 @@ block per normalized name shared by the two KBs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from .config import DEFAULT_CONFIG, MinoanerConfig
 from .evaluation import evaluate
-from .names import name_block_index, name_pairs
+from .names import entity_names, name_block_index, name_pairs, top_k_name_attrs
+from .parallel import concurrently
 from .tokens import entity_frequency, literal_tokens, pair_token_weights
 
 MIN_TOKEN_WEIGHT = 0.1
@@ -91,24 +91,71 @@ def beta_scores(
 
 @dataclass
 class Blocking:
-    """The composite blocking of one KB pair: purged token blocks + name blocks."""
+    """The composite blocking of one KB pair, and the evidence it yields.
 
-    tokens1: DataFrame  # (eid, token) of KB1, cached
-    tokens2: DataFrame  # (eid, token) of KB2, cached
-    kept: DataFrame     # (token, ef1, ef2, weight, comparisons) after purging
-    purge_threshold: int
-    names1: DataFrame   # (eid, name) of KB1
-    names2: DataFrame   # (eid, name) of KB2
+    Everything but |E| is built when first read, by whichever thread reads
+    it (a branch of ``build_graph``, or a table), so that in Algorithm 1
+    the name-attribute discovery and the planning of the tokens and beta
+    overlap the other branches, and each is computed once per pair.
+    """
+
+    triples1: DataFrame
+    triples2: DataFrame
+    n1: int                 # |E1|
+    n2: int                 # |E2|
+    cfg: MinoanerConfig     # k name attributes per KB; the Block Purging cap
+
+    @cached_property
+    def name_attrs(self) -> list[list[str]]:
+        """Both KBs' top-k name attributes, best first, discovered at once."""
+        t1, t2, k = self.triples1, self.triples2, self.cfg.k
+        return concurrently(
+            t1.sparkSession,
+            lambda: top_k_name_attrs(t1, k, self.n1),
+            lambda: top_k_name_attrs(t2, k, self.n2),
+        )
+
+    @cached_property
+    def names(self) -> list[DataFrame]:
+        """``(eid, name)`` of each KB, from its name attributes."""
+        return [entity_names(t, a) for t, a in zip((self.triples1, self.triples2), self.name_attrs)]
+
+    @cached_property
+    def tokens1(self) -> DataFrame:
+        """``(eid, token)`` of KB1, cached."""
+        return literal_tokens(self.triples1).cache()
+
+    @cached_property
+    def tokens2(self) -> DataFrame:
+        """``(eid, token)`` of KB2, cached."""
+        return literal_tokens(self.triples2).cache()
+
+    @cached_property
+    def _purged(self) -> tuple[DataFrame, int]:
+        index = token_block_index(self.tokens1, self.tokens2)
+        return purge_blocks(index, self.cfg.purge_max_comparisons)
+
+    @property
+    def kept(self) -> DataFrame:
+        """``(token, ef1, ef2, weight, comparisons)`` of the blocks Block Purging keeps."""
+        return self._purged[0]
+
+    @property
+    def purge_threshold(self) -> int:
+        return self._purged[1]
+
+    @cached_property
+    def beta(self) -> DataFrame:
+        """``(eid1, eid2, beta)`` for every pair sharing a kept token block, cached."""
+        return beta_scores(self.tokens1, self.tokens2, self.kept).cache()
 
     def candidate_pairs(self) -> DataFrame:
         """Distinct ``(eid1, eid2)`` sharing a kept token block or a name block."""
-        tokens = beta_scores(self.tokens1, self.tokens2, self.kept).select(
-            "eid1", "eid2"
-        )
-        return tokens.union(name_pairs(self.names1, self.names2)).distinct()
+        tokens = self.beta.select("eid1", "eid2")
+        return tokens.union(name_pairs(*self.names)).distinct()
 
-    def stats(self, gt: DataFrame, n1: int, n2: int) -> BlockStats:
-        """Table 2 for this blocking of a pair of ``n1`` x ``n2`` entities.
+    def stats(self, gt: DataFrame) -> BlockStats:
+        """Table 2 for this blocking.
 
         Blocking "predicts" every pair co-occurring in a (purged) token
         block or a name block; precision/recall are those candidate pairs
@@ -118,7 +165,7 @@ class Blocking:
             F.count("*"), F.sum("comparisons")
         ).first()
         n_name_blocks, name_comps = (
-            name_block_index(self.names1, self.names2)
+            name_block_index(*self.names)
             .agg(F.count("*"), F.sum(F.col("cnt1") * F.col("cnt2")))
             .first()
         )
@@ -128,7 +175,7 @@ class Blocking:
             n_token_blocks=n_token_blocks,
             name_comparisons=int(name_comps or 0),
             token_comparisons=int(token_comps or 0),
-            cartesian=n1 * n2,
+            cartesian=self.n1 * self.n2,
             precision=prf.precision,
             recall=prf.recall,
             f1=prf.f1,
@@ -136,40 +183,20 @@ class Blocking:
         )
 
     def unpersist(self) -> None:
-        """Release the cached tokens."""
-        self.tokens1.unpersist()
-        self.tokens2.unpersist()
+        """Release the cached tokens and beta, those that were built."""
+        for name in ("tokens1", "tokens2", "beta"):
+            if name in self.__dict__:
+                self.__dict__[name].unpersist()
 
 
-def token_blocking(
-    triples1: DataFrame, triples2: DataFrame, max_comparisons: int | None = None
-) -> tuple[DataFrame, DataFrame, DataFrame, int]:
-    """The token half of the blocking: ``(tokens1, tokens2, kept, threshold)``.
-
-    ``tokens1``/``tokens2`` are ``(eid, token)``, cached; the caller
-    unpersists them. ``kept`` is the token-block index after Block Purging
-    and ``threshold`` its cardinality cap (``max_comparisons`` goes to
-    ``purge_blocks``). The tuple is in ``Blocking``'s field order.
-    """
-    t1 = literal_tokens(triples1).cache()
-    t2 = literal_tokens(triples2).cache()
-    kept, threshold = purge_blocks(token_block_index(t1, t2), max_comparisons)
-    return t1, t2, kept, threshold
-
-
-def composite_blocking(
-    triples1: DataFrame,
-    triples2: DataFrame,
-    names1: DataFrame,
-    names2: DataFrame,
-    max_comparisons: int | None = None,
-) -> Blocking:
-    """Block a KB pair: ``token_blocking`` plus the given names.
-
-    The names are an argument because each caller picks its own name
-    attributes.
-    """
-    return Blocking(*token_blocking(triples1, triples2, max_comparisons), names1, names2)
+def composite_blocking(triples1: DataFrame, triples2: DataFrame, cfg: MinoanerConfig) -> Blocking:
+    """Block a KB pair: ``n1 ‖ n2`` now, the rest when first read."""
+    n1, n2 = concurrently(
+        triples1.sparkSession,
+        lambda: triples1.select("eid").distinct().count(),
+        lambda: triples2.select("eid").distinct().count(),
+    )
+    return Blocking(triples1, triples2, n1, n2, cfg)
 
 
 @dataclass
@@ -194,11 +221,11 @@ def block_stats(
     names2: DataFrame,
     gt: DataFrame,
 ) -> BlockStats:
-    """Compute Table 2 for a KB pair: block it, count it, release it."""
-    b = composite_blocking(triples1, triples2, names1, names2)
+    """Table 2 for a KB pair blocked with the given names (no attribute is
+    discovered): block it, count it, release it."""
+    b = composite_blocking(triples1, triples2, DEFAULT_CONFIG)
+    b.names = [names1, names2]  # in place of discovered ones: name_attrs is never read
     try:
-        n1 = triples1.select("eid").distinct().count()
-        n2 = triples2.select("eid").distinct().count()
-        return b.stats(gt, n1, n2)
+        return b.stats(gt)
     finally:
         b.unpersist()

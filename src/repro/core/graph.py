@@ -13,28 +13,28 @@ per-evidence DataFrames:
 Ranks are dense within each node's list (1 = best), with deterministic
 ties (weight desc, candidate id asc).
 
-``build_graph`` runs Algorithm 1 in three levels. Within a level the
-independent Spark actions are submitted together from driver threads
-(``parallel.concurrently``), so one branch's planning and code generation
-overlap another's tasks; a level starts when the one before has returned:
+``build_graph`` builds Algorithm 1 from the KB pair's one
+``blocking.Blocking``, which holds |E|, the name attributes and names, and
+beta, each computed once per pair. Each level's independent Spark actions
+are submitted together from driver threads (``parallel.concurrently``), so
+one branch's planning and code generation overlap another's tasks.
+``composite_blocking`` has counted ``n1 ‖ n2``; ``build_graph`` runs:
 
-1. ``|E1|`` and ``|E2|``, counted at once.
-2. Three branches (the parallel branches of the paper's Fig. 4):
-   *names* finds both KBs' name attributes at once, then checkpoints
-   alpha; *value* runs ``blocking.token_blocking`` (tokens cached), caches
-   beta (``blocking.beta_scores``) and checkpoints both of its top-K
-   directions at once; *neighbours* caches and counts both KBs' top
-   in-neighbours at once. The value branch does not wait for the names.
-3. gamma, cached, from the retained beta edges and the in-neighbours;
+1. Three branches (the parallel branches of the paper's Fig. 4): *names*
+   checkpoints alpha from the blocking's names; *value* checkpoints both
+   top-K directions of the blocking's beta; *neighbours* caches and
+   counts both KBs' top in-neighbours. The blocking builds its name
+   attributes (``attrs1 ‖ attrs2``), tokens and beta when first read, so
+   unless a caller read them before, they are discovered and planned in
+   the names and value branches.
+2. gamma, cached, from the retained beta edges and the in-neighbours;
    both of its top-K directions are checkpointed at once.
 
-The five frames ``build_graph`` returns are eager local checkpoints:
-each is a single-leaf plan, so Algorithm 2 plans over the pruned graph
-instead of re-embedding Algorithm 1's lineage in every rule. The frames
-cached on the way (the tokens, beta, both in-neighbour frames and gamma)
-are its own and are unpersisted before it returns, on the error path too;
-the checkpoints live as long as the returned ``BlockingGraph`` is
-referenced.
+The five returned frames are eager local checkpoints: single-leaf plans,
+so Algorithm 2 plans over the pruned graph instead of re-embedding
+Algorithm 1's lineage in every rule. ``build_graph`` caches only what it
+creates (the in-neighbours and gamma) and unpersists it before it
+returns, on the error path too; the blocking's caches are its owner's.
 """
 from __future__ import annotations
 
@@ -43,9 +43,9 @@ from dataclasses import dataclass
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
-from .blocking import beta_scores, token_blocking
+from .blocking import Blocking, beta_scores  # noqa: F401  (beta_scores is importable from here)
 from .config import MinoanerConfig
-from .names import alpha_edges, entity_names, top_k_name_attrs
+from .names import alpha_edges
 from .parallel import concurrently
 from .relations import relation_importance, top_in_neighbors, top_n_neighbors
 
@@ -135,26 +135,15 @@ def _top_k_leaves(scores: DataFrame, weight_col: str, k: int) -> list[DataFrame]
 def build_graph(
     triples1: DataFrame,
     triples2: DataFrame,
+    blocking: Blocking,
     cfg: MinoanerConfig,
 ) -> BlockingGraph:
-    """Run Algorithm 1 end to end as DataFrame jobs, in three levels.
-
-    1. ``n1 ‖ n2``.
-    2. names (name attributes of KB1 ‖ KB2, then alpha) ‖ value (tokens,
-       beta cached, then ``beta_out1 ‖ beta_out2``) ‖ neighbours (top
-       in-neighbours of KB1 ‖ KB2, cached and counted).
-    3. gamma cached, then ``gamma_out1 ‖ gamma_out2``.
-
-    ``‖`` marks jobs submitted together from driver threads. The returned
-    edge frames are eager local checkpoints; everything cached on the way
-    is unpersisted in a ``finally`` (see the module docstring).
+    """Run Algorithm 1 over ``blocking``, the KB pair's composite blocking
+    (the triples give the relations), in the two levels of the module
+    docstring: alpha ‖ ``beta_out1 ‖ beta_out2`` ‖ top in-neighbours, then
+    gamma and ``gamma_out1 ‖ gamma_out2`` (``‖``: jobs submitted together).
     """
     session = triples1.sparkSession
-    n1, n2 = concurrently(
-        session,
-        lambda: triples1.select("eid").distinct().count(),
-        lambda: triples2.select("eid").distinct().count(),
-    )
     cached: list[DataFrame] = []  # appended to from the branch threads; append is atomic
 
     def keep(df: DataFrame) -> DataFrame:
@@ -162,40 +151,21 @@ def build_graph(
         cached.append(df)
         return df.cache()
 
-    def names():
-        attrs1, attrs2 = concurrently(
-            session,
-            lambda: top_k_name_attrs(triples1, cfg.k, n1),
-            lambda: top_k_name_attrs(triples2, cfg.k, n2),
-        )
-        names1 = entity_names(triples1, attrs1)
-        names2 = entity_names(triples2, attrs2)
-        alpha = alpha_edges(names1, names2).localCheckpoint()
-        return attrs1, attrs2, alpha
-
-    def value():
-        t1, t2, kept, threshold = token_blocking(
-            triples1, triples2, cfg.purge_max_comparisons
-        )
-        cached.extend((t1, t2))
-        beta = keep(beta_scores(t1, t2, kept))
-        return threshold, *_top_k_leaves(beta, "beta", cfg.K)
-
     def neighbours():
         topin1, topin2 = (
             keep(top_in_neighbors(top_n_neighbors(t, cfg.N, relation_importance(t, n))))
-            for t, n in ((triples1, n1), (triples2, n2))
+            for t, n in ((triples1, blocking.n1), (triples2, blocking.n2))
         )
         concurrently(session, topin1.count, topin2.count)
         return topin1, topin2
 
     try:
-        name_half, value_half, (topin1, topin2) = concurrently(
-            session, names, value, neighbours
+        alpha, (beta_out1, beta_out2), (topin1, topin2) = concurrently(
+            session,
+            lambda: alpha_edges(*blocking.names).localCheckpoint(),
+            lambda: _top_k_leaves(blocking.beta, "beta", cfg.K),
+            neighbours,
         )
-        name_attrs1, name_attrs2, alpha = name_half
-        purge_threshold, beta_out1, beta_out2 = value_half
-
         retained_beta = (
             beta_out1.select("eid1", "eid2", "beta")
             .union(beta_out2.select("eid1", "eid2", "beta"))
@@ -214,9 +184,9 @@ def build_graph(
         beta_out2=beta_out2,
         gamma_out1=gamma_out1,
         gamma_out2=gamma_out2,
-        n1=n1,
-        n2=n2,
-        name_attrs1=name_attrs1,
-        name_attrs2=name_attrs2,
-        purge_threshold=purge_threshold,
+        n1=blocking.n1,
+        n2=blocking.n2,
+        name_attrs1=blocking.name_attrs[0],
+        name_attrs2=blocking.name_attrs[1],
+        purge_threshold=blocking.purge_threshold,
     )

@@ -13,7 +13,8 @@ graph; each is a single DataFrame pass (no data-driven iteration):
 * R4 reciprocity    — keep a match only if both directed edges exist.
 
 ``M(e_i,e_j) = (R1 v R2 v R3) ^ R4`` (Definition 4.1). Matches carry a
-``rule`` provenance column for the Table 4 ablation.
+``rule`` provenance column, from which the Table 4 ablation derives its
+variants (``tables.table4``).
 """
 from __future__ import annotations
 
@@ -131,41 +132,22 @@ def rule4(matches: DataFrame, g: BlockingGraph) -> DataFrame:
 
 
 def match_graph(
-    g: BlockingGraph,
-    theta: float = DEFAULT_CONFIG.theta,
-    use_r1: bool = True,
-    use_r2: bool = True,
-    use_r3: bool = True,
-    use_r4: bool = True,
+    g: BlockingGraph, theta: float = DEFAULT_CONFIG.theta, use_r4: bool = True
 ) -> DataFrame:
-    """Algorithm 2 end to end; rule toggles drive the Table 4 ablation.
+    """Algorithm 2 end to end: ``(R1 v R2 v R3) ^ R4``, or without R4.
 
     Returns ``(eid1, eid2, rule)``. Rules run in order, each skipping
     entities matched by earlier rules, so no pair comes from two rules and
-    none twice from one; R4 filters the union. R2's and R3's
-    outputs are eager local checkpoints, so later rules and the ``matched``
-    exclusions plan over leaves rather than over the rules before them.
-    R1 needs none: it is a projection of the alpha leaf.
+    none twice from one; R4 filters the union. R2's and R3's outputs are
+    eager local checkpoints, so later rules and the ``matched`` exclusions
+    plan over leaves rather than over the rules before them. R1 needs
+    none: it is a projection of the alpha leaf. The Table 4 ablation
+    derives its variants from one run with ``use_r4=False``.
     """
-    parts: list[DataFrame] = []
-    matched: DataFrame | None = None
-
-    def accumulate(df: DataFrame) -> None:
-        nonlocal matched
-        parts.append(df)
-        matched = df.select(*_PAIR) if matched is None else matched.union(
-            df.select(*_PAIR)
-        )
-
-    if use_r1:
-        accumulate(rule1(g))
-    if use_r2:
-        accumulate(rule2(g, matched).localCheckpoint())
-    if use_r3:
-        accumulate(rule3(g, matched, theta).localCheckpoint())
-    if not parts:
-        return rule1(g).filter(F.lit(False))
-    all_matches = parts[0]
-    for df in parts[1:]:
-        all_matches = all_matches.unionByName(df)
-    return rule4(all_matches, g) if use_r4 else all_matches
+    r1 = rule1(g)
+    matched = r1.select(*_PAIR)
+    r2 = rule2(g, matched).localCheckpoint()
+    matched = matched.union(r2.select(*_PAIR))
+    r3 = rule3(g, matched, theta).localCheckpoint()
+    matches = r1.unionByName(r2).unionByName(r3)
+    return rule4(matches, g) if use_r4 else matches

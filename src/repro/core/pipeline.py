@@ -1,11 +1,11 @@
-"""End-to-end MinoanER pipeline: blocking graph + matching + scoring.
+"""End-to-end MinoanER pipeline: blocking, blocking graph, matching, scoring.
 
-``run_minoaner`` is Algorithm 1 (``build_graph``), Algorithm 2
-(``match_graph``) and ``evaluate`` in one call, as perfbench and the
-tests use it. The table harnesses share one graph per profile across
-Tables 3 and 4 (``tables.pairs.ProfileRun``), so they call
-``match_graph`` and ``evaluate`` on it themselves. All heavy lifting is
-DataFrame work; only final P/R/F1 counts are collected to the driver.
+``run_minoaner`` is ``composite_blocking``, Algorithm 1 over it
+(``build_graph``), Algorithm 2 (``match_graph``) and ``evaluate`` in one
+call, as perfbench and the tests use it; the blocking is released once
+the graph is built. The table harnesses share one blocking, graph and
+Algorithm 2 run per profile (``tables.pairs.ProfileRun``) instead. Only
+final P/R/F1 counts are collected to the driver.
 """
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from pyspark.sql import DataFrame
 
+from .blocking import composite_blocking
 from .config import DEFAULT_CONFIG, MinoanerConfig
 from .evaluation import PRF, evaluate
 from .graph import BlockingGraph, build_graph
@@ -34,7 +35,12 @@ def run_minoaner(
     gt: DataFrame,
     cfg: MinoanerConfig = DEFAULT_CONFIG,
 ) -> MinoanerResult:
-    """Build the blocking graph, match with R1-R4, and score against gt."""
-    graph = build_graph(triples1, triples2, cfg)
+    """Block the pair, build the blocking graph, release the blocking, match
+    with R1-R4, and score against gt."""
+    blocking = composite_blocking(triples1, triples2, cfg)
+    try:
+        graph = build_graph(triples1, triples2, blocking, cfg)
+    finally:
+        blocking.unpersist()
     matches = match_graph(graph, cfg.theta).cache()
     return MinoanerResult(graph=graph, matches=matches, prf=evaluate(matches, gt))

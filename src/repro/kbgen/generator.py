@@ -49,6 +49,17 @@ from pyspark.sql import types as T
 
 from .profiles import Profile
 
+N_TOPIC = 3
+"""Universe-level "topic" tokens per entity, drawn from the mid vocabulary
+(a restaurant sits in the same city in both KBs). They guarantee
+near-total blocking recall — real matches always share *some* token —
+while their EF keeps their valueSim weight too small to matter for
+matching."""
+P_TOPIC = 0.85
+"""Probability that each topic token is included in an entity's description."""
+TOKENS_PER_VALUE = 3
+"""Description tokens per literal value (a value is a short phrase)."""
+
 TRIPLE_SCHEMA = T.StructType(
     [
         T.StructField("eid", T.LongType(), False),
@@ -147,13 +158,12 @@ def generate_pandas(
     first_idx = rng.choice(p.name_vocab, size=(u, n_first), p=first_p)
     name_alt = rng.choice(p.name_vocab, size=u, p=first_p)
     # "hard" entities (the low-valueSim population of Fig. 2) share far
-    # fewer specific tokens across the KBs, and (hard_name_factor) their
-    # names are perturbed more often too.
+    # fewer specific tokens across the KBs.
     is_hard = rng.random(u) < p.p_hard
     # topic tokens: universe-level mid-vocabulary tokens (same city /
     # genre in both KBs) — they keep blocking recall near 100% even for
     # hard matches, at negligible valueSim weight.
-    topic_idx = rng.integers(0, p.mid_vocab, size=(u, max(0, p.n_topic)))
+    topic_idx = rng.integers(0, p.mid_vocab, size=(u, N_TOPIC))
     # universe relation graph: `degree` out-edges per entity, labelled with
     # a universe relation index so KB1/KB2 edges are structurally aligned.
     max_rels = max(p.n_graph_rels1, p.n_graph_rels2)
@@ -169,12 +179,8 @@ def generate_pandas(
     hub_of = rng.integers(0, min(p.n_hubs, u), size=u)
 
     # KB2 name perturbation decision per matched entity: a perturbed name
-    # swaps the surname (or last common token) for a different one. Hard
-    # entities share their name less often (hard_name_factor).
-    p_share = np.where(
-        is_hard, p.p_name_shared * p.hard_name_factor, p.p_name_shared
-    )
-    kb2_name_shared = rng.random(u) < p_share
+    # swaps the surname (or last common token) for a different one.
+    kb2_name_shared = rng.random(u) < p.p_name_shared
 
     frames = {}
     for kb in (1, 2):
@@ -219,12 +225,11 @@ def generate_pandas(
         for s, d, r in zip(kept_src, kept_dst, kept_rel):
             emit_rel(int(s), rels[int(r) % len(rels)], int(d))
 
-        if p.hub_rel:
-            hub_keep = rng.random(u) < 0.95
-            for e in ids:
-                h = int(hub_of[e])
-                if hub_keep[e] and in_kb[h] and h != e:
-                    emit_rel(int(e), _hub_rel_name(kb, p), h)
+        hub_keep = rng.random(u) < 0.95
+        for e in ids:
+            h = int(hub_of[e])
+            if hub_keep[e] and in_kb[h] and h != e:
+                emit_rel(int(e), _hub_rel_name(kb, p), h)
 
         # surname leakage: an edge u -> v mentions v's surname in u's
         # description with prob p_leak (real KBs cite related entities).
@@ -264,7 +269,7 @@ def generate_pandas(
         # --- description values (specific + mid + noise + leaked) -----------
         spec_rate = np.where(is_hard, p_spec * p.hard_factor, p_spec)
         incl = rng.random((u, p.n_spec)) < spec_rate[:, None]
-        incl_topic = rng.random((u, max(0, p.n_topic))) < p.p_topic
+        incl_topic = rng.random((u, N_TOPIC)) < P_TOPIC
         n_mid = np.maximum(1, rng.poisson(lam_mid, size=u))
         mid_flat = rng.integers(0, p.mid_vocab, size=int(n_mid[ids].sum()))
         zipf_p = _zipf_probs(p.noise_vocab, p.zipf_a)
@@ -280,7 +285,7 @@ def generate_pandas(
             toks = [f"u{e}k{j}" for j in range(p.n_spec) if incl[e, j]]
             toks += [
                 f"m{topic_idx[e, j]}"
-                for j in range(p.n_topic)
+                for j in range(N_TOPIC)
                 if incl_topic[e, j]
             ]
             km = int(n_mid[e])
@@ -292,8 +297,8 @@ def generate_pandas(
             toks += leaked.get(int(e), [])
             rng.shuffle(toks)
             chunks = [
-                toks[c : c + p.tokens_per_value]
-                for c in range(0, len(toks), p.tokens_per_value)
+                toks[c : c + TOKENS_PER_VALUE]
+                for c in range(0, len(toks), TOKENS_PER_VALUE)
             ]
             # Real description values are phrases: merge a trailing
             # singleton into the previous chunk so no value is one

@@ -51,19 +51,9 @@ class Profile:
     #   Fig. 2 — resolvable only via names/neighbors). Their specific
     #   tokens are included at hard_factor * p_spec.
     hard_factor: float = 0.25
-    hard_name_factor: float = 1.0  # multiplier on p_name_shared for hard
-    #   entities: messy descriptions correlate with messy names, so the
-    #   hard population is partially invisible to value-only matchers
-    #   while MinoanER still reaches it through neighbors (R3).
     n_mid1: int = 4      # mid-frequency tokens per entity in KB1
     n_mid2: int = 4
     mid_vocab: int = 500
-    n_topic: int = 3     # universe-level "topic" tokens per entity (same
-    #   mid vocabulary; a restaurant sits in the same city in both KBs).
-    #   They guarantee near-total blocking recall — real matches always
-    #   share *some* token — while their EF keeps their valueSim weight
-    #   too small to matter for matching.
-    p_topic: float = 0.85
     noise1: int = 4      # Zipf stop-word tokens per entity
     noise2: int = 4
     noise_vocab: int = 200
@@ -94,14 +84,12 @@ class Profile:
     n_types2: int = 3
     n_vocab1: int = 2
     n_vocab2: int = 2
-    tokens_per_value: int = 3
     # --- neighbor evidence ----------------------------------------------
     degree: int = 2
     p_edge1: float = 0.9
     p_edge2: float = 0.9
     n_graph_rels1: int = 2
     n_graph_rels2: int = 2
-    hub_rel: bool = True
     n_hubs: int = 5
 
     @property
@@ -157,7 +145,7 @@ RESTAURANT = Profile(
     n_attrs1=5, n_attrs2=5, shared_attr_names=True,
     n_types1=3, n_types2=3, n_vocab1=2, n_vocab2=2,
     degree=2, p_edge1=0.95, p_edge2=0.95,
-    n_graph_rels1=1, n_graph_rels2=1, hub_rel=True, n_hubs=12,
+    n_graph_rels1=1, n_graph_rels2=1, n_hubs=12,
 )
 
 REXA_DBLP = Profile(
@@ -172,7 +160,7 @@ REXA_DBLP = Profile(
     n_attrs1=8, n_attrs2=10, shared_attr_names=False,
     n_types1=4, n_types2=11, n_vocab1=4, n_vocab2=4,
     degree=3, p_edge1=0.9, p_edge2=0.9,
-    n_graph_rels1=2, n_graph_rels2=3, hub_rel=True, n_hubs=40,
+    n_graph_rels1=2, n_graph_rels2=3, n_hubs=40,
 )
 
 BBC_DBPEDIA = Profile(
@@ -187,7 +175,7 @@ BBC_DBPEDIA = Profile(
     n_attrs1=10, n_attrs2=100, shared_attr_names=False,
     n_types1=4, n_types2=200, n_vocab1=4, n_vocab2=6,
     degree=4, p_edge1=0.9, p_edge2=0.85,
-    n_graph_rels1=2, n_graph_rels2=8, hub_rel=True, n_hubs=90,
+    n_graph_rels1=2, n_graph_rels2=8, n_hubs=90,
 )
 
 YAGO_IMDB = Profile(
@@ -203,7 +191,7 @@ YAGO_IMDB = Profile(
     n_attrs1=10, n_attrs2=8, shared_attr_names=False,
     n_types1=300, n_types2=15, n_vocab1=3, n_vocab2=1,
     degree=4, p_edge1=0.92, p_edge2=0.92,
-    n_graph_rels1=3, n_graph_rels2=3, hub_rel=True, n_hubs=150,
+    n_graph_rels1=3, n_graph_rels2=3, n_hubs=150,
 )
 
 PROFILES: dict[str, Profile] = {
@@ -222,7 +210,7 @@ MICRO = Profile(
     n_attrs1=4, n_attrs2=5, shared_attr_names=False,
     n_types1=3, n_types2=4, n_vocab1=2, n_vocab2=2,
     degree=2, p_edge1=0.9, p_edge2=0.9,
-    n_graph_rels1=2, n_graph_rels2=2, hub_rel=True, n_hubs=6,
+    n_graph_rels1=2, n_graph_rels2=2, n_hubs=6,
 )
 
 
@@ -231,13 +219,6 @@ def test_scale(p: Profile) -> Profile:
     if p.n1 + p.n2 > 2500:
         return scaled(p, 0.15)
     return p
-
-
-def importance_harmonic(support: float, discriminability: float) -> float:
-    """Harmonic mean used for both relation and attribute importance."""
-    if support + discriminability == 0:
-        return 0.0
-    return 2 * support * discriminability / (support + discriminability)
 
 
 def expected_shared_specific(p: Profile) -> float:

@@ -1,8 +1,10 @@
 """One pass over the profiles: each KB pair is generated once, and every table
-reads the graph and the ``Blocking`` it needs from one :class:`ProfileRun`.
+reads what it needs from one :class:`ProfileRun`.
 
-Alg. 1 still tokenizes inside ``build_graph``: sharing the ``Blocking``'s
-tokens would make its value branch wait for the names.
+The run's one composite ``Blocking`` holds |E|, the name attributes, the
+tokens and beta; Algorithm 1 (the graph) is built from it, and one
+Algorithm 2 run over the graph feeds Table 3's MinoanER row and every
+Table 4 variant.
 """
 from __future__ import annotations
 
@@ -10,11 +12,10 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
-from pyspark.sql import SparkSession
+from pyspark.sql import DataFrame, SparkSession
 
-from ..core import DEFAULT_CONFIG, BlockingGraph, build_graph
+from ..core import DEFAULT_CONFIG, PRF, BlockingGraph, build_graph, evaluate, match_graph, rule4
 from ..core.blocking import Blocking, composite_blocking
-from ..core.names import entity_names, top_k_name_attrs
 from ..kbgen import PROFILES, KBPair, generate_kb_pair, scaled
 
 SEED = 7
@@ -23,45 +24,38 @@ SEED = 7
 
 @dataclass
 class ProfileRun:
-    """One profile's cached KB pair, and what the tables share from it: |E|,
-    the name attributes, the graph and the ``Blocking``, each built at most
-    once, when a table first asks for it."""
+    """One profile's cached KB pair, and what the tables share from it: the
+    ``Blocking``, the graph built from it, and Algorithm 2's matches over the
+    graph, each built at most once, when a table first asks for it."""
 
     name: str
     pair: KBPair
 
     @cached_property
-    def n_entities(self) -> tuple[int, int]:
-        """``(|E1|, |E2|)``."""
-        return tuple(
-            t.select("eid").distinct().count()
-            for t in (self.pair.triples1, self.pair.triples2)
-        )
-
-    @cached_property
-    def name_attrs(self) -> tuple[list[str], list[str]]:
-        """Both KBs' top-``k`` name attributes; the graph's, if it is built."""
-        if "graph" in self.__dict__:
-            return self.graph.name_attrs1, self.graph.name_attrs2
-        n1, n2 = self.n_entities
-        return (
-            top_k_name_attrs(self.pair.triples1, DEFAULT_CONFIG.k, n1),
-            top_k_name_attrs(self.pair.triples2, DEFAULT_CONFIG.k, n2),
-        )
+    def blocking(self) -> Blocking:
+        """The composite blocking, with MinoanER's name attributes."""
+        return composite_blocking(self.pair.triples1, self.pair.triples2, DEFAULT_CONFIG)
 
     @cached_property
     def graph(self) -> BlockingGraph:
-        return build_graph(self.pair.triples1, self.pair.triples2, DEFAULT_CONFIG)
+        return build_graph(
+            self.pair.triples1, self.pair.triples2, self.blocking, DEFAULT_CONFIG
+        )
 
     @cached_property
-    def blocking(self) -> Blocking:
-        """The composite blocking, with MinoanER's name attributes."""
-        t1, t2 = self.pair.triples1, self.pair.triples2
-        names1, names2 = (entity_names(t, a) for t, a in zip((t1, t2), self.name_attrs))
-        return composite_blocking(t1, t2, names1, names2, DEFAULT_CONFIG.purge_max_comparisons)
+    def matches(self) -> DataFrame:
+        """R1-R3 over the graph, before R4: ``(eid1, eid2, rule)``, cached."""
+        return match_graph(self.graph, DEFAULT_CONFIG.theta, use_r4=False).cache()
+
+    @cached_property
+    def prf(self) -> PRF:
+        """The full workflow's (R1-R4) P/R/F1 against the ground truth."""
+        return evaluate(rule4(self.matches, self.graph), self.pair.gt)
 
     def release(self) -> None:
-        """Unpersist the ``Blocking``'s tokens, if built, and the KB pair."""
+        """Unpersist the matches and the ``Blocking``, if built, and the KB pair."""
+        if "matches" in self.__dict__:
+            self.matches.unpersist()
         if "blocking" in self.__dict__:
             self.blocking.unpersist()
         self.pair.triples1.unpersist()

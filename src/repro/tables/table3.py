@@ -2,14 +2,14 @@
 
 LINDA and RiMOM rows are quoted from the paper (they are not runnable:
 no public implementation / instructions, as the paper itself notes);
-``rows`` measures MinoanER, BSL, SiGMa-lite and PARIS-lite. MinoanER
-matches over the run's one graph, the one Table 4 ablates.
+``rows`` measures MinoanER (the run's ``prf``, Table 4's ``full``), BSL,
+SiGMa-lite and PARIS-lite. BSL and SiGMa-lite score the run's ``Blocking``.
 """
 from __future__ import annotations
 
 from pyspark.sql import SparkSession
 
-from ..core import DEFAULT_CONFIG, evaluate, match_graph
+from ..core import DEFAULT_CONFIG
 from ..baselines import paris, run_bsl, run_paris, run_sigma, sigma
 from .pairs import SEED, ProfileRun, run_tables
 
@@ -18,24 +18,23 @@ TITLE = "Table 3 — effectiveness vs baselines (ours)"
 
 def rows(run: ProfileRun) -> list[dict]:
     """The profile's four rows: MinoanER, BSL, SiGMa-lite, PARIS-lite."""
-    pair = run.pair
+    pair, blocking = run.pair, run.blocking
     t1, t2 = pair.triples1, pair.triples2
-    prf = evaluate(match_graph(run.graph, DEFAULT_CONFIG.theta), pair.gt)
     out = [
         {
             "dataset": run.name,
             "method": "MinoanER",
-            **prf.row(),
+            **run.prf.row(),
             "config": f"(k,K,N,theta)=({DEFAULT_CONFIG.k},{DEFAULT_CONFIG.K},"
             f"{DEFAULT_CONFIG.N},{DEFAULT_CONFIG.theta})",
         }
     ]
 
     # BSL and SiGMa-lite share the run's unpruned disjunctive blocking graph.
-    pairs = run.blocking.candidate_pairs().cache()
+    pairs = blocking.candidate_pairs().cache()
     try:
         bsl = run_bsl(t1, t2, pairs, pair.gt_pdf)
-        sg = run_sigma(t1, t2, pairs, pair.pdf1, pair.pdf2, pair.gt_pdf)
+        sg = run_sigma(t1, t2, pairs, blocking.name_attrs, pair.pdf1, pair.pdf2, pair.gt_pdf)
     finally:
         pairs.unpersist()
     pr = run_paris(pair.pdf1, pair.pdf2, pair.gt_pdf)

@@ -15,6 +15,7 @@ from repro.core import (
     match_graph,
     run_minoaner,
 )
+from repro.core.blocking import composite_blocking
 from repro.core.graph import build_graph
 from repro.kbgen import MICRO, PROFILES, generate_kb_pair
 from repro.kbgen.profiles import scaled
@@ -37,8 +38,18 @@ def micro_pair(spark, _fast_spark):
 
 
 @pytest.fixture(scope="session")
-def micro_graph(micro_pair):
-    return build_graph(micro_pair.triples1, micro_pair.triples2, DEFAULT_CONFIG)
+def micro_blocking(micro_pair):
+    """The micro pair's composite blocking, released at the end of the session."""
+    b = composite_blocking(micro_pair.triples1, micro_pair.triples2, DEFAULT_CONFIG)
+    yield b
+    b.unpersist()
+
+
+@pytest.fixture(scope="session")
+def micro_graph(micro_pair, micro_blocking):
+    return build_graph(
+        micro_pair.triples1, micro_pair.triples2, micro_blocking, DEFAULT_CONFIG
+    )
 
 
 @pytest.fixture(scope="session")

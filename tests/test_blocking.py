@@ -6,7 +6,9 @@ from pyspark.sql import functions as F
 
 from tests import reference as ref
 from tests.kbutil import gt_df, kb, persistent_rdds
+from repro.core import MinoanerConfig
 from repro.core.blocking import (
+    Blocking,
     block_stats,
     composite_blocking,
     purge_blocks,
@@ -56,9 +58,8 @@ class TestTokenBlockIndex:
         assert idx["rare"].comparisons == 1 * 1
         assert idx["common"].comparisons == 2 * 2
 
-    def test_oracle_equivalence(self, micro_pair):
-        t1 = literal_tokens(micro_pair.triples1)
-        t2 = literal_tokens(micro_pair.triples2)
+    def test_oracle_equivalence(self, micro_blocking):
+        t1, t2 = micro_blocking.tokens1, micro_blocking.tokens2
         got = token_block_index(t1, t2).select("token", "ef1", "ef2", "comparisons")
         assert_equivalent(
             got,
@@ -88,21 +89,19 @@ class TestPurgeBlocks:
         assert thr == 2**10 - 1
         assert kept.count() == idx.count()  # nothing here is that big
 
-    def test_purges_stopword_head_on_profile(self, micro_pair):
-        t1 = literal_tokens(micro_pair.triples1)
-        t2 = literal_tokens(micro_pair.triples2)
-        idx = token_block_index(t1, t2)
-        kept, thr = purge_blocks(idx)
+    def test_purges_stopword_head_on_profile(self, micro_blocking):
+        b = micro_blocking
+        idx = token_block_index(b.tokens1, b.tokens2)
+        kept, thr = b.kept, b.purge_threshold
         assert kept.count() < idx.count()  # the Zipf head must go
         assert (
             kept.agg(F.max("comparisons")).collect()[0][0] <= thr
         )
 
-    def test_purged_tokens_are_frequent(self, micro_pair):
-        t1 = literal_tokens(micro_pair.triples1)
-        t2 = literal_tokens(micro_pair.triples2)
-        idx = token_block_index(t1, t2)
-        kept, thr = purge_blocks(idx)
+    def test_purged_tokens_are_frequent(self, micro_blocking):
+        b = micro_blocking
+        idx = token_block_index(b.tokens1, b.tokens2)
+        kept, thr = b.kept, b.purge_threshold
         dropped = idx.join(kept.select("token"), "token", "left_anti")
         assert dropped.agg(F.min("comparisons")).collect()[0][0] > thr
 
@@ -123,18 +122,25 @@ def recount_candidates(pdf1, pdf2, attrs1, attrs2, cap) -> list[tuple[int, int]]
     )
 
 
-def candidates(k1, k2, attrs1=(), attrs2=(), cap=None) -> list[tuple[int, int]]:
-    """``Blocking.candidate_pairs()`` as a sorted list, checked against the
-    recount (a sorted list, so a duplicated pair would show)."""
-    b = composite_blocking(
-        k1, k2, entity_names(k1, list(attrs1)), entity_names(k2, list(attrs2)), cap
-    )
+def candidates(b: Blocking, k1, k2) -> list[tuple[int, int]]:
+    """``b.candidate_pairs()`` of the KBs ``k1``, ``k2`` as a sorted list,
+    checked against the recount (a sorted list, so a duplicated pair would
+    show)."""
     got = sorted((r.eid1, r.eid2) for r in b.candidate_pairs().collect())
-    b.unpersist()
     assert got == recount_candidates(
-        k1.toPandas(), k2.toPandas(), attrs1, attrs2, b.purge_threshold
+        k1.toPandas(), k2.toPandas(), *b.name_attrs, b.purge_threshold
     )
     return got
+
+
+def token_candidates(k1, k2, cap=None) -> list[tuple[int, int]]:
+    """``candidates`` of a blocking with no name attribute (k = 0)."""
+    b = composite_blocking(k1, k2, MinoanerConfig(k=0, purge_max_comparisons=cap))
+    try:
+        assert b.name_attrs == [[], []]
+        return candidates(b, k1, k2)
+    finally:
+        b.unpersist()
 
 
 class TestTokenPairs:
@@ -142,30 +148,36 @@ class TestTokenPairs:
 
     def test_pairs_from_kept_blocks_only(self, spark, blockkbs):
         k1, k2 = blockkbs
-        assert candidates(k1, k2, cap=1) == [(1, 11)]  # only 'rare' is kept
+        assert token_candidates(k1, k2, cap=1) == [(1, 11)]  # only 'rare' is kept
 
     def test_pairs_distinct(self, spark):
         k1 = kb(spark, [(1, "a:d", "x y", None)])
         k2 = kb(spark, [(9, "b:d", "x y", None)])
-        assert candidates(k1, k2) == [(1, 9)]  # two shared tokens, one pair
+        assert token_candidates(k1, k2) == [(1, 9)]  # two shared tokens, one pair
 
 
 class TestCandidatePairs:
-    def test_equals_recount_on_micro(self, micro_pair, micro_graph):
+    def test_equals_recount_on_micro(self, micro_pair, micro_blocking):
         """Token-block pairs under the purge cap plus name-block pairs."""
-        attrs1, attrs2 = micro_graph.name_attrs1, micro_graph.name_attrs2
+        attrs1 = micro_blocking.name_attrs[0]
         assert ref.names_of(micro_pair.pdf1, attrs1)  # names take part
-        assert candidates(micro_pair.triples1, micro_pair.triples2, attrs1, attrs2)
+        assert candidates(micro_blocking, micro_pair.triples1, micro_pair.triples2)
 
 
 class TestBlockStats:
     @pytest.fixture(scope="class")
-    def stats(self, micro_pair, micro_graph):
-        n1 = entity_names(micro_pair.triples1, micro_graph.name_attrs1)
-        n2 = entity_names(micro_pair.triples2, micro_graph.name_attrs2)
+    def stats(self, micro_pair, micro_blocking):
+        attrs1, attrs2 = micro_blocking.name_attrs
+        n1 = entity_names(micro_pair.triples1, attrs1)
+        n2 = entity_names(micro_pair.triples2, attrs2)
         return block_stats(
             micro_pair.triples1, micro_pair.triples2, n1, n2, micro_pair.gt
         )
+
+    def test_equals_the_shared_blockings(self, stats, micro_pair, micro_blocking):
+        """Blocking with the same names, ``block_stats`` counts what the
+        shared ``Blocking`` does."""
+        assert stats == micro_blocking.stats(micro_pair.gt)
 
     def test_recall_above_99(self, stats):
         assert stats.recall >= 99.0

@@ -14,26 +14,16 @@ from repro.baselines.bsl import (
     run_bsl,
     weighted_grams,
 )
-from repro.core.blocking import composite_blocking
-from repro.core.names import entity_names
 
 
 @pytest.fixture(scope="module")
-def micro_candidates(micro_pair, micro_graph):
+def micro_candidates(micro_blocking):
     """The micro pair's unpruned disjunctive blocking graph, cached and
     materialised for the module; released afterwards."""
-    t1, t2 = micro_pair.triples1, micro_pair.triples2
-    blocking = composite_blocking(
-        t1,
-        t2,
-        entity_names(t1, micro_graph.name_attrs1),
-        entity_names(t2, micro_graph.name_attrs2),
-    )
-    pairs = blocking.candidate_pairs().cache()
+    pairs = micro_blocking.candidate_pairs().cache()
     pairs.count()
     yield pairs
     pairs.unpersist()
-    blocking.unpersist()
 
 
 @pytest.fixture(scope="module")

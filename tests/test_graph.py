@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import sys
 import threading
+from collections import Counter
 
 import pytest
 from pyspark.sql import functions as F
@@ -10,11 +11,10 @@ from pyspark.sql import functions as F
 from tests import reference
 from tests.kbutil import cached_rdds, persistent_rdds
 from repro.core import DEFAULT_CONFIG
-from repro.core.blocking import purge_blocks, token_block_index
+from repro.core.blocking import composite_blocking, token_block_index
 from repro.core.graph import beta_scores, build_graph, gamma_scores, top_k_directed
 from repro.core.matching import match_graph
 from repro.core.relations import top_in_neighbors, top_n_neighbors
-from repro.core.tokens import literal_tokens
 from repro.oracle import assert_equivalent
 
 
@@ -47,48 +47,37 @@ def _edge_rows(g) -> dict[str, list]:
     }
 
 
-@pytest.fixture(scope="module")
-def micro_beta_inputs(micro_pair):
-    t1 = literal_tokens(micro_pair.triples1).cache()
-    t2 = literal_tokens(micro_pair.triples2).cache()
-    kept, _ = purge_blocks(token_block_index(t1, t2))
-    kept = kept.cache()
-    return t1, t2, kept
-
-
 class TestBetaScores:
-    def test_oracle_equivalence(self, micro_beta_inputs):
-        t1, t2, kept = micro_beta_inputs
-        beta = beta_scores(t1, t2, kept)
+    """The micro blocking's beta against oracles."""
+
+    def test_oracle_equivalence(self, micro_blocking):
+        b = micro_blocking
         assert_equivalent(
-            beta.select("eid1", "eid2", F.round("beta", 9).alias("beta")),
+            b.beta.select("eid1", "eid2", F.round("beta", 9).alias("beta")),
             """
             SELECT t1.eid AS eid1, t2.eid AS eid2,
                    round(sum(k.weight), 9) AS beta
             FROM t1 JOIN k USING (token) JOIN t2 USING (token)
             GROUP BY t1.eid, t2.eid
             """,
-            t1=t1,
-            t2=t2,
-            k=kept.select("token", "weight"),
+            t1=b.tokens1,
+            t2=b.tokens2,
+            k=b.kept.select("token", "weight"),
         )
 
-    def test_matches_reference_value_sim(self, micro_pair, micro_beta_inputs):
-        t1, t2, kept = micro_beta_inputs
+    def test_matches_reference_value_sim(self, micro_pair, micro_blocking):
+        b = micro_blocking
         purged = {
             r.token
-            for r in token_block_index(t1, t2)
-            .join(kept.select("token"), "token", "left_anti")
+            for r in token_block_index(b.tokens1, b.tokens2)
+            .join(b.kept.select("token"), "token", "left_anti")
             .collect()
         }
         tok1 = reference.tokens_of(micro_pair.pdf1)
         tok2 = reference.tokens_of(micro_pair.pdf2)
         ef1 = reference.entity_frequency(tok1)
         ef2 = reference.entity_frequency(tok2)
-        beta = {
-            (r.eid1, r.eid2): r.beta
-            for r in beta_scores(t1, t2, kept).collect()
-        }
+        beta = {(r.eid1, r.eid2): r.beta for r in b.beta.collect()}
         # spot-check all ground-truth pairs plus some non-pairs
         for e1, e2 in zip(micro_pair.gt_pdf.eid1, micro_pair.gt_pdf.eid2):
             want = reference.value_sim(
@@ -97,51 +86,40 @@ class TestBetaScores:
             got = beta.get((int(e1), int(e2)), 0.0)
             assert got == pytest.approx(want, abs=1e-9)
 
-    def test_beta_positive(self, micro_beta_inputs):
-        t1, t2, kept = micro_beta_inputs
-        assert (
-            beta_scores(t1, t2, kept).filter(F.col("beta") <= 0).count() == 0
-        )
+    def test_beta_positive(self, micro_blocking):
+        assert micro_blocking.beta.filter(F.col("beta") <= 0).count() == 0
 
-    def test_symmetric_in_inputs(self, micro_beta_inputs):
+    def test_symmetric_in_inputs(self, micro_blocking):
         """valueSim is symmetric: swapping the KBs transposes the matrix."""
-        t1, t2, kept = micro_beta_inputs
-        a = {
-            (r.eid1, r.eid2, round(r.beta, 9))
-            for r in beta_scores(t1, t2, kept).collect()
-        }
-        kept_sw = kept.withColumnRenamed("ef1", "ef2x").withColumnRenamed(
+        b = micro_blocking
+        a = {(r.eid1, r.eid2, round(r.beta, 9)) for r in b.beta.collect()}
+        kept_sw = b.kept.withColumnRenamed("ef1", "ef2x").withColumnRenamed(
             "ef2", "ef1"
         ).withColumnRenamed("ef2x", "ef2")
         # beta_scores(t2, t1, ...) labels the t2 entity as eid1, so the
         # transposed tuple is (r.eid2, r.eid1).
-        b = {
+        t = {
             (r.eid2, r.eid1, round(r.beta, 9))
-            for r in beta_scores(t2, t1, kept_sw).collect()
+            for r in beta_scores(b.tokens2, b.tokens1, kept_sw).collect()
         }
-        assert a == b
+        assert a == t
 
 
 class TestTopKDirected:
-    def test_keeps_k_best(self, spark, micro_beta_inputs):
-        t1, t2, kept = micro_beta_inputs
-        beta = beta_scores(t1, t2, kept)
-        top = top_k_directed(beta, "eid1", "eid2", "beta", 3)
+    def test_keeps_k_best(self, spark, micro_blocking):
+        top = top_k_directed(micro_blocking.beta, "eid1", "eid2", "beta", 3)
         counts = top.groupBy("eid1").count().agg(F.max("count")).collect()[0][0]
         assert counts <= 3
 
-    def test_rank_one_is_max(self, micro_beta_inputs):
-        t1, t2, kept = micro_beta_inputs
-        beta = beta_scores(t1, t2, kept).cache()
+    def test_rank_one_is_max(self, micro_blocking):
+        beta = micro_blocking.beta
         top1 = top_k_directed(beta, "eid1", "eid2", "beta", 1)
         maxes = beta.groupBy("eid1").agg(F.max("beta").alias("mx"))
         joined = top1.join(maxes, "eid1")
         assert joined.filter(F.col("beta") != F.col("mx")).count() == 0
 
-    def test_ranks_are_dense_from_one(self, micro_beta_inputs):
-        t1, t2, kept = micro_beta_inputs
-        beta = beta_scores(t1, t2, kept)
-        top = top_k_directed(beta, "eid1", "eid2", "beta", 5)
+    def test_ranks_are_dense_from_one(self, micro_blocking):
+        top = top_k_directed(micro_blocking.beta, "eid1", "eid2", "beta", 5)
         mins = top.groupBy("eid1").agg(
             F.min("rank").alias("lo"), F.max("rank").alias("hi"), F.count("*").alias("n")
         )
@@ -215,13 +193,23 @@ class TestGammaScores:
 
 
 class TestGraphStructure:
-    def test_alpha_pairs_unique_names(self, micro_graph, micro_pair):
-        # every alpha edge must be a 1x1 name block: verified by recount
-        from repro.core.names import alpha_edges, entity_names
-
-        n1 = entity_names(micro_pair.triples1, micro_graph.name_attrs1)
-        n2 = entity_names(micro_pair.triples2, micro_graph.name_attrs2)
-        expect = {(r.eid1, r.eid2) for r in alpha_edges(n1, n2).collect()}
+    def test_alpha_pairs_unique_names(self, micro_graph, micro_pair, micro_blocking):
+        """Every alpha edge is a 1x1 name block of the blocking's name
+        attributes, recounted in pure Python."""
+        attrs1, attrs2 = micro_blocking.name_attrs
+        names1 = reference.names_of(micro_pair.pdf1, attrs1)
+        names2 = reference.names_of(micro_pair.pdf2, attrs2)
+        holders1, holders2 = Counter(), Counter()
+        for names, holders in ((names1, holders1), (names2, holders2)):
+            for ns in names.values():
+                holders.update(ns)
+        expect = {
+            (e1, e2)
+            for e1, ns1 in names1.items()
+            for e2, ns2 in names2.items()
+            if any(holders1[n] == 1 and holders2[n] == 1 for n in ns1 & ns2)
+        }
+        assert expect  # names take part
         got = {(r.eid1, r.eid2) for r in micro_graph.alpha.collect()}
         assert got == expect
 
@@ -244,6 +232,13 @@ class TestGraphStructure:
         assert micro_graph.n1 == micro_pair.triples1.select("eid").distinct().count()
         assert micro_graph.n2 == micro_pair.triples2.select("eid").distinct().count()
 
+    def test_blocking_evidence_is_the_graphs(self, micro_graph, micro_blocking):
+        """|E|, the name attributes and the purge threshold come from the blocking."""
+        b = micro_blocking
+        assert (micro_graph.n1, micro_graph.n2) == (b.n1, b.n2)
+        assert [micro_graph.name_attrs1, micro_graph.name_attrs2] == b.name_attrs
+        assert micro_graph.purge_threshold == b.purge_threshold
+
 
 class TestLineageCut:
     """The pruned graph is a materialised boundary between Alg. 1 and 2."""
@@ -258,11 +253,15 @@ class TestLineageCut:
 
 
 class TestConcurrentBuild:
-    """``build_graph`` submits Alg. 1's independent jobs from driver threads."""
+    """``build_graph`` submits Alg. 1's independent jobs from driver threads,
+    all of them reading the KB pair's one ``Blocking``."""
 
-    def test_leaves_only_its_checkpoints(self, spark, micro_pair):
+    def test_leaves_only_its_checkpoints(self, spark, micro_pair, micro_blocking):
+        micro_blocking.beta.count()  # the blocking's caches exist before the build
         before = persistent_rdds(spark)
-        g = build_graph(micro_pair.triples1, micro_pair.triples2, DEFAULT_CONFIG)
+        g = build_graph(
+            micro_pair.triples1, micro_pair.triples2, micro_blocking, DEFAULT_CONFIG
+        )
         leaves = {_leaf_rdd(getattr(g, f)) for f in EDGE_FRAMES}
         assert persistent_rdds(spark) - before <= leaves
 
@@ -270,34 +269,44 @@ class TestConcurrentBuild:
         "stage",
         [
             "top_in_neighbors",  # the neighbour branch, in a pool thread
-            "gamma_scores",  # level 3, after every branch has cached its frames
+            "gamma_scores",  # level 2, after every branch has cached its frames
         ],
     )
     def test_failure_propagates_and_releases_caches(
         self, spark, micro_pair, monkeypatch, stage
     ):
+        """``build_graph`` releases its own caches; the caller, the blocking."""
+
         def fail(*args, **kwargs):
             raise RuntimeError(f"{stage} failed")
 
         monkeypatch.setattr(f"repro.core.graph.{stage}", fail)
+        t1, t2 = micro_pair.triples1, micro_pair.triples2
         before = cached_rdds(spark)
-        with pytest.raises(RuntimeError, match=f"{stage} failed"):
-            build_graph(micro_pair.triples1, micro_pair.triples2, DEFAULT_CONFIG)
+        blocking = composite_blocking(t1, t2, DEFAULT_CONFIG)
+        try:
+            with pytest.raises(RuntimeError, match=f"{stage} failed"):
+                build_graph(t1, t2, blocking, DEFAULT_CONFIG)
+        finally:
+            blocking.unpersist()
         assert cached_rdds(spark) <= before
 
-    def test_concurrent_builds_match_a_serial_build(self, micro_pair, micro_graph):
+    def test_concurrent_builds_match_a_serial_build(
+        self, micro_pair, micro_blocking, micro_graph
+    ):
         want = _edge_rows(micro_graph)
         results: dict[int, dict] = {}
         errors: list[BaseException] = []
 
         def build(i: int) -> None:
             try:
-                g = build_graph(micro_pair.triples1, micro_pair.triples2, DEFAULT_CONFIG)
+                g = build_graph(
+                    micro_pair.triples1, micro_pair.triples2, micro_blocking, DEFAULT_CONFIG
+                )
                 results[i] = _edge_rows(g)
             except BaseException as exc:  # reported by the main thread
                 errors.append(exc)
                 raise
-
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:

@@ -12,7 +12,7 @@ import pytest
 from repro.core import DEFAULT_CONFIG
 from repro.core.graph import BlockingGraph
 from repro.core.matching import match_graph, rule1, rule2, rule3, rule4
-from repro.tables.table4 import VARIANTS
+from repro.tables.table4 import ablations
 
 BETA_COLS = ["eid1", "eid2", "beta", "rank"]
 GAMMA_COLS = ["eid1", "eid2", "gamma", "rank"]
@@ -59,6 +59,11 @@ def mkgraph(
 
 def pairs(df) -> set[tuple[int, int]]:
     return {(r.eid1, r.eid2) for r in df.select("eid1", "eid2").collect()}
+
+
+def ruled(df) -> list[tuple[int, int, str]]:
+    """``(eid1, eid2, rule)`` rows, sorted."""
+    return sorted((r.eid1, r.eid2, r.rule) for r in df.collect())
 
 
 class TestRule1:
@@ -225,10 +230,6 @@ class TestMatchGraph:
         assert match_graph(g, use_r4=False).count() == 1
         assert match_graph(g, use_r4=True).count() == 0
 
-    def test_no_rules_empty(self, spark):
-        g = mkgraph(spark, alpha=[(1, 11)])
-        assert match_graph(g, use_r1=False, use_r2=False, use_r3=False).count() == 0
-
     def test_r2_sees_r1_matches(self, spark):
         # entity 1 matched by R1; its beta-top pick must not re-match it
         g = mkgraph(
@@ -241,12 +242,32 @@ class TestMatchGraph:
         assert (1, 12) not in rows
         assert rows[(2, 13)] == "R2"
 
-    @pytest.mark.parametrize("variant", list(VARIANTS))
-    def test_no_pair_twice(self, micro_graph, variant):
+    @pytest.fixture(scope="class")
+    def variants(self, micro_graph):
+        """Table 4's variant frames on micro, derived from one run before R4."""
+        theta = DEFAULT_CONFIG.theta
+        m = match_graph(micro_graph, theta, use_r4=False).cache()
+        yield {**ablations(micro_graph, m, theta), "full": rule4(m, micro_graph)}
+        m.unpersist()
+
+    @pytest.mark.parametrize(
+        "variant", ["R1", "R2", "R3", "no_R4", "no_neighbors", "full"]
+    )
+    def test_no_pair_twice(self, variants, variant):
         """Each rule skips the entities matched before it, so the union
         needs no dedupe: every row is a distinct pair."""
-        m = match_graph(micro_graph, DEFAULT_CONFIG.theta, **VARIANTS[variant])
+        m = variants[variant]
         assert m.count() == m.select("eid1", "eid2").distinct().count()
+
+    def test_variants_are_the_rules(self, micro_graph, variants):
+        """The derived variants are the rules they stand for."""
+        assert ruled(variants["R1"]) == ruled(rule1(micro_graph))
+        assert ruled(variants["full"]) == ruled(
+            match_graph(micro_graph, DEFAULT_CONFIG.theta)
+        )
+        r1 = rule1(micro_graph)
+        r12 = r1.unionByName(rule2(micro_graph, r1.select("eid1", "eid2")))
+        assert ruled(variants["no_neighbors"]) == ruled(rule4(r12, micro_graph))
 
     def test_full_flow_on_micro(self, micro_result, micro_pair):
         prf = micro_result.prf

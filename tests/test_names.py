@@ -115,6 +115,11 @@ class TestTopKNameAttrs:
         )
         assert top_k_name_attrs(k, 1) == ["a:x"]  # tie -> name ascending
 
+    def test_top_one_is_first_of_top_two(self, micro_pair):
+        """SiGMa-lite's seed attribute is the first of MinoanER's top-2 list."""
+        for t in (micro_pair.triples1, micro_pair.triples2):
+            assert top_k_name_attrs(t, 1) == top_k_name_attrs(t, 2)[:1]
+
     def test_decoy_outranks_name_in_bbc_kb2(self, spark):
         """The BBCmusic-DBpedia k=1 failure mode: KB2's top attribute is
         the decoy id, the real name attribute only enters at k=2."""

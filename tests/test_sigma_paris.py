@@ -7,7 +7,6 @@ from repro.baselines.paris import run_paris
 from repro.baselines.sigma import run_sigma
 from repro.core import DEFAULT_CONFIG
 from repro.core.blocking import composite_blocking
-from repro.core.names import entity_names, top_k_name_attrs
 from repro.kbgen import PROFILES, generate_kb_pair, generate_pandas
 from repro.kbgen.profiles import scaled
 
@@ -24,18 +23,12 @@ class TestSigmaLite:
     @pytest.fixture(scope="class")
     def result(self, rest_small):
         p = rest_small
-        t1, t2, k = p.triples1, p.triples2, DEFAULT_CONFIG.k
-        blocking = composite_blocking(
-            t1,
-            t2,
-            entity_names(t1, top_k_name_attrs(t1, k)),
-            entity_names(t2, top_k_name_attrs(t2, k)),
-        )
-        pairs = blocking.candidate_pairs()
+        t1, t2 = p.triples1, p.triples2
+        b = composite_blocking(t1, t2, DEFAULT_CONFIG)
         try:
-            return run_sigma(t1, t2, pairs, p.pdf1, p.pdf2, p.gt_pdf)
+            return run_sigma(t1, t2, b.candidate_pairs(), b.name_attrs, p.pdf1, p.pdf2, p.gt_pdf)
         finally:
-            blocking.unpersist()
+            b.unpersist()
 
     def test_high_f1_on_low_variety(self, result):
         # paper: SiGMa 97 F1 on Restaurant — the greedy propagation works

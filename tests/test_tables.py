@@ -1,6 +1,7 @@
 """Tests for the table harnesses and the transcribed paper numbers."""
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from unittest import mock
 
@@ -26,20 +27,30 @@ from repro.tables.pairs import ProfileRun, run_tables
 
 PROFILE = ["restaurant"]  # the cheapest real profile, scaled by SF
 SF = 0.2
-COUNTED = ("generate_kb_pair", "build_graph", "composite_blocking")
+COUNTED = {  # function: calls per profile in one pass of Tables 2-4
+    "generate_kb_pair": 1,
+    "build_graph": 1,
+    "composite_blocking": 1,
+    "literal_tokens": 2,  # once per KB
+    "top_k_name_attrs": 2,  # once per KB, SiGMa-lite included
+    "beta_scores": 1,
+}
 HARNESSES = {"table2": table2_rows, "table3": table3_rows, "table4": table4_rows}
 
 
 def _count_calls(mp: pytest.MonkeyPatch, calls: Counter) -> None:
-    """Count the calls ``tables.pairs`` makes to the functions in ``COUNTED``."""
+    """Count the calls any ``repro`` module makes to the functions in ``COUNTED``."""
+    modules = [m for n, m in list(sys.modules.items()) if n.startswith("repro.")]
     for name in COUNTED:
-        real = getattr(pairs, name)
+        (real,) = {getattr(m, name) for m in modules if hasattr(m, name)}
 
         def counted(*args, _real=real, _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
 
-        mp.setattr(pairs, name, counted)
+        for m in modules:
+            if getattr(m, name, None) is real:
+                mp.setattr(m, name, counted)
 
 
 @pytest.fixture(scope="module")
@@ -175,7 +186,7 @@ class TestOnePass:
 
     def test_each_shared_piece_is_built_once(self, one_pass):
         _, calls, _ = one_pass
-        assert calls == {name: len(PROFILE) for name in COUNTED}
+        assert calls == {name: n * len(PROFILE) for name, n in COUNTED.items()}
 
     def test_rows_equal_the_single_table_harnesses(self, one_pass, single):
         rows, _, _ = one_pass
@@ -203,14 +214,26 @@ class TestOnePass:
             )
         assert cached_rdds(spark) <= before
 
-    def test_shared_name_attrs_are_the_graphs(
-        self, restaurant_small_pair, restaurant_small_result
-    ):
-        """The blocking's name attributes, discovered without the graph, are
-        the ones Algorithm 1 finds."""
+    @pytest.fixture(scope="class")
+    def shared_run(self, restaurant_small_pair):
+        """A run whose ``Blocking`` is built before its graph, as when Table 2
+        runs first; the blocking is released afterwards."""
         run = ProfileRun("restaurant", restaurant_small_pair)
-        g = restaurant_small_result.graph
-        assert run.name_attrs == (g.name_attrs1, g.name_attrs2)
+        run.blocking.stats(restaurant_small_pair.gt)
+        _ = run.graph
+        yield run
+        run.blocking.unpersist()
+
+    def test_graph_keeps_the_blockings_caches(self, shared_run):
+        """Building the graph leaves the blocking's tokens and beta cached."""
+        b = shared_run.blocking
+        for df in (b.tokens1, b.tokens2, b.beta):
+            assert df.storageLevel.useMemory
+
+    def test_shared_name_attrs_are_the_graphs(self, shared_run):
+        """The graph's name attributes are the blocking's."""
+        g, b = shared_run.graph, shared_run.blocking
+        assert [g.name_attrs1, g.name_attrs2] == b.name_attrs
 
 
 class TestJobs:
