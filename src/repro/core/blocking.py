@@ -3,7 +3,8 @@
 This is the only module that knows how a KB pair is blocked. A
 :class:`Blocking` holds all a KB pair's evidence that Algorithm 1, Table 2,
 BSL and SiGMa-lite read: |E1|, |E2|, both KBs' top-k name attributes and
-names, the cached tokens, the purged token blocks and beta (cached).
+names, the cached tokens, the token block index (cached), the purged
+token blocks and beta (cached).
 ``composite_blocking`` builds it once per pair: it counts ``n1 ‖ n2``
 (``‖``: jobs submitted together, ``parallel.concurrently``); the rest is
 built when first read, the name attributes ``attrs1 ‖ attrs2``.
@@ -13,13 +14,23 @@ releases in one call. Whoever builds a ``Blocking`` releases it
 
 Token blocking creates one block per token shared by the two KBs; the
 block's comparison cardinality is ``EF1(t) * EF2(t)``. Block Purging
-removes the stop-word-like blocks whose tokens carry near-zero valueSim
-weight anyway (paper Section 3.3, deferring to [26]). The automatic
-threshold is derived from that weight (DESIGN.md section 5): a block of
-``c`` comparisons gives its token weight ``1/log2(c+1)``, so dropping
-weights below ``MIN_TOKEN_WEIGHT`` = 0.1 caps a block at ``c <= 1023``
-comparisons, whatever the size of the KB pair. Name blocking creates one
-block per normalized name shared by the two KBs.
+removes the excessively large blocks (paper Section 3.3, deferring to
+[26]). Its automatic cap is the lower of two bounds (DESIGN.md section 5):
+
+* weight-derived: a block of ``c`` comparisons gives its token weight
+  ``1/log2(c+1)``, so dropping weights below ``MIN_TOKEN_WEIGHT`` = 0.1
+  caps a block at ``c <= 1023`` comparisons, whatever the size of the KB
+  pair;
+* relative to the KB pair's own block collection: Block Purging aims at
+  two orders of magnitude fewer comparisons than unpurged token blocking,
+  and a block that alone holds more than ``1/PURGE_SHARE`` = 1/100 of
+  those ``sum_t EF1(t) * EF2(t)`` comparisons cannot sit in such a
+  collection. The cap is at least 1: a block of one comparison has the
+  maximum weight 1 and is never large.
+
+The paper and [26] leave the exact relative rule open; this is the
+reading of the aim. Name blocking creates one block per normalized name
+shared by the two KBs.
 """
 from __future__ import annotations
 
@@ -38,6 +49,10 @@ from .tokens import entity_frequency, literal_tokens, pair_token_weights
 MIN_TOKEN_WEIGHT = 0.1
 """Block Purging drops the token blocks whose token weight is below this."""
 
+PURGE_SHARE = 100
+"""Block Purging drops a token block holding more than ``1/PURGE_SHARE`` of
+the comparisons of all the KB pair's token blocks."""
+
 
 def token_block_index(tokens1: DataFrame, tokens2: DataFrame) -> DataFrame:
     """``(token, ef1, ef2, weight, comparisons)`` — one row per token block.
@@ -54,16 +69,21 @@ def purge_blocks(
 ) -> tuple[DataFrame, int]:
     """Drop excessively large token blocks; return (kept blocks, threshold).
 
-    If ``max_comparisons`` is not given, it is derived from Def. 2.1's
-    weighting: a block of cardinality ``EF1*EF2 = c`` carries token
-    weight ``1/log2(c+1)``, so dropping blocks with weight below
-    ``MIN_TOKEN_WEIGHT`` means ``c > 2**(1/MIN_TOKEN_WEIGHT) - 1`` (1023).
-    These are exactly the stop-word blocks whose tokens contribute
-    ~nothing to valueSim, so recall is preserved — the stated goal of
-    Block Purging [26] in the paper.
+    An explicit ``max_comparisons`` is used as given. Otherwise the cap is
+    ``min(2**(1/MIN_TOKEN_WEIGHT) - 1, max(1, total // PURGE_SHARE))``,
+    ``total`` being the comparisons of all blocks in ``block_index``
+    (one aggregation job). The first bound (1023) drops the stop-word
+    blocks, whose Def. 2.1 token weight ``1/log2(c+1)`` is below
+    ``MIN_TOKEN_WEIGHT``; the second, each block holding more than a
+    hundredth of ``total`` (the module docstring gives the reasoning). A
+    block of one comparison (weight 1) is never purged. The first bound
+    binds wherever ``total`` is at least 102,300.
     """
     if max_comparisons is None:
-        max_comparisons = int(2 ** (1.0 / MIN_TOKEN_WEIGHT)) - 1
+        total = block_index.agg(F.sum("comparisons")).first()[0] or 0
+        max_comparisons = min(
+            int(2 ** (1.0 / MIN_TOKEN_WEIGHT)) - 1, max(1, total // PURGE_SHARE)
+        )
     return (
         block_index.filter(F.col("comparisons") <= max_comparisons),
         max_comparisons,
@@ -131,9 +151,14 @@ class Blocking:
         return literal_tokens(self.triples2).cache()
 
     @cached_property
+    def block_index(self) -> DataFrame:
+        """``(token, ef1, ef2, weight, comparisons)`` of every token block,
+        cached: Block Purging sums it for its cap, then filters it."""
+        return token_block_index(self.tokens1, self.tokens2).cache()
+
+    @cached_property
     def _purged(self) -> tuple[DataFrame, int]:
-        index = token_block_index(self.tokens1, self.tokens2)
-        return purge_blocks(index, self.cfg.purge_max_comparisons)
+        return purge_blocks(self.block_index, self.cfg.purge_max_comparisons)
 
     @property
     def kept(self) -> DataFrame:
@@ -183,8 +208,8 @@ class Blocking:
         )
 
     def unpersist(self) -> None:
-        """Release the cached tokens and beta, those that were built."""
-        for name in ("tokens1", "tokens2", "beta"):
+        """Release the cached tokens, block index and beta, those that were built."""
+        for name in ("tokens1", "tokens2", "block_index", "beta"):
             if name in self.__dict__:
                 self.__dict__[name].unpersist()
 

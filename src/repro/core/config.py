@@ -19,10 +19,12 @@ class MinoanerConfig:
     N:      most important relations per entity for topNneighbors.
     theta:  value-vs-neighbor trade-off of the rank aggregation rule R3.
     purge_max_comparisons: explicit Block Purging threshold, or None for
-            the cap derived from the token weight: blocks with more than
-            ``2**(1/0.1) - 1 = 1023`` comparisons carry weight below 0.1
-            and are dropped (``blocking.purge_blocks``, DESIGN.md
-            section 5).
+            the automatic cap, the lower of two bounds: blocks with more
+            than ``2**(1/0.1) - 1 = 1023`` comparisons carry token weight
+            below 0.1, and blocks with more than 1/100 of the KB pair's
+            token-block comparisons (but never a one-comparison block)
+            are excessively large; both are dropped
+            (``blocking.purge_blocks``, DESIGN.md section 5).
     """
 
     k: int = 2

@@ -1,6 +1,8 @@
 """Unit tests for core.blocking: token blocks, purging, Table-2 stats."""
 from __future__ import annotations
 
+import math
+
 import pytest
 from pyspark.sql import functions as F
 
@@ -83,11 +85,28 @@ class TestPurgeBlocks:
         assert {r.token for r in kept.collect()} == {"rare"}
 
     def test_auto_threshold_is_weight_derived(self, spark, blockkbs):
+        """The automatic cap is ``min(1023, max(1, total // 100))``.
+
+        With at least 102,300 comparisons in all, the weight bound binds:
+        the cap is 1023, and a block of 1024 comparisons (token weight
+        below 0.1) goes. On ``blockkbs`` (1 + 4 comparisons) the relative
+        bound binds at its floor of 1: the one-comparison block stays.
+        """
+        sizes = [1023] * 100 + [1024]  # 103,324 comparisons in all
+        idx = spark.createDataFrame(
+            [(f"t{i}", 1, c, 1 / math.log2(c + 1), c) for i, c in enumerate(sizes)],
+            "token string, ef1 long, ef2 long, weight double, comparisons long",
+        )
+        kept, thr = purge_blocks(idx)
+        assert thr == 2**10 - 1
+        assert kept.count() == 100
+        assert kept.agg(F.max("comparisons")).first()[0] == 1023
+
         k1, k2 = blockkbs
         idx = token_block_index(literal_tokens(k1), literal_tokens(k2))
         kept, thr = purge_blocks(idx)
-        assert thr == 2**10 - 1
-        assert kept.count() == idx.count()  # nothing here is that big
+        assert thr == max(1, 5 // 100) == 1
+        assert {r.token for r in kept.collect()} == {"rare"}  # 'common' (4) goes
 
     def test_purges_stopword_head_on_profile(self, micro_blocking):
         b = micro_blocking
