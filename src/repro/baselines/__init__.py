@@ -1,7 +1,7 @@
 """Baselines the paper compares against: BSL, SiGMa-lite, PARIS-lite, UMC."""
 from .bsl import BSLResult, entity_grams, pair_similarities, run_bsl, weighted_grams
-from .paris import ParisResult, run_paris
-from .sigma import SigmaResult, run_sigma
+from .paris import run_paris
+from .sigma import run_sigma
 from .umc import unique_mapping_clustering
 
 __all__ = [
@@ -10,9 +10,7 @@ __all__ = [
     "entity_grams",
     "pair_similarities",
     "weighted_grams",
-    "ParisResult",
     "run_paris",
-    "SigmaResult",
     "run_sigma",
     "unique_mapping_clustering",
 ]

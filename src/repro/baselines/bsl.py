@@ -28,10 +28,17 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from ..core.evaluation import PRF
+from ..core.evaluation import PRF, evaluate_pandas
 from ..core.tokens import TOKEN_SPLIT
+from .umc import unique_mapping_clustering
 
+NS = (1, 2, 3)
+"""Word n-gram sizes."""
+WEIGHTINGS = ("tf", "tfidf")
 MEASURES = ("cosine", "jaccard", "genjaccard", "sigma")
+"""Similarity measures; ``sigma`` is scored with TF-IDF weights only."""
+THRESHOLDS = np.arange(0.0, 1.0, 0.05)
+"""Unique Mapping Clustering thresholds: 20 steps of 0.05 in [0, 1)."""
 
 
 def entity_grams(triples: DataFrame, n: int) -> DataFrame:
@@ -159,9 +166,7 @@ class BSLResult:
     weighting: str
     measure: str
     threshold: float
-    precision: float
-    recall: float
-    f1: float
+    prf: PRF
     grid: pd.DataFrame  # one row per (n, weighting, measure, threshold)
 
 
@@ -170,58 +175,36 @@ def run_bsl(
     triples2: DataFrame,
     pairs: DataFrame,
     gt_pdf: pd.DataFrame,
-    ns: tuple[int, ...] = (1, 2, 3),
-    weightings: tuple[str, ...] = ("tf", "tfidf"),
-    measures: tuple[str, ...] = MEASURES,
-    thresholds: np.ndarray | None = None,
 ) -> BSLResult:
-    """Grid-search BSL and return the best-F1 configuration.
+    """Grid-search BSL over the paper's 420 configurations and return the
+    best-F1 one.
 
     ``pairs`` is the unpruned disjunctive blocking graph ``(eid1, eid2)``;
     it is scored once per (n, weighting), so the caller should cache it.
     ``gt_pdf`` is the pandas ground truth (the sweep runs driver-side).
     """
-    from ..baselines.umc import unique_mapping_clustering
-
-    if thresholds is None:
-        thresholds = np.arange(0.0, 1.0, 0.05)
-    rows: list[dict] = []
-    for n, weighting in product(ns, weightings):
+    configs: list[tuple[int, str, str, float]] = []
+    prfs: list[PRF] = []
+    for n, weighting in product(NS, WEIGHTINGS):
         g1 = entity_grams(triples1, n)
         g2 = entity_grams(triples2, n)
         w1, w2 = weighted_grams(g1, g2, weighting)
         sims = pair_similarities(pairs, w1, w2).toPandas()
-        for measure in measures:
+        for measure in MEASURES:
             if measure == "sigma" and weighting != "tfidf":
                 continue  # SiGMa measure applies to TF-IDF only [21]
             scored = sims[["eid1", "eid2", measure]].rename(
                 columns={measure: "sim"}
             )
             scored = scored[scored.sim > 0]
-            for t in thresholds:
-                pred = unique_mapping_clustering(scored, float(t))
-                hit = len(pred.merge(gt_pdf, on=["eid1", "eid2"])) if len(pred) else 0
-                prf = PRF.from_counts(len(pred), len(gt_pdf), hit)
-                rows.append(
-                    {
-                        "n": n,
-                        "weighting": weighting,
-                        "measure": measure,
-                        "threshold": round(float(t), 2),
-                        "precision": prf.precision,
-                        "recall": prf.recall,
-                        "f1": prf.f1,
-                    }
+            for t in THRESHOLDS:
+                configs.append((n, weighting, measure, round(float(t), 2)))
+                prfs.append(
+                    evaluate_pandas(unique_mapping_clustering(scored, float(t)), gt_pdf)
                 )
-    grid = pd.DataFrame(rows)
-    best = grid.loc[grid.f1.idxmax()]
-    return BSLResult(
-        n=int(best.n),
-        weighting=str(best.weighting),
-        measure=str(best.measure),
-        threshold=float(best.threshold),
-        precision=float(best.precision),
-        recall=float(best.recall),
-        f1=float(best.f1),
-        grid=grid,
+    grid = pd.DataFrame(
+        [(*c, p.precision, p.recall, p.f1) for c, p in zip(configs, prfs)],
+        columns=["n", "weighting", "measure", "threshold", "precision", "recall", "f1"],
     )
+    best = int(grid.f1.idxmax())
+    return BSLResult(*configs[best], prfs[best], grid)

@@ -20,25 +20,16 @@ is a sequential Java program; our profiles are bounded (DESIGN.md §4/5).
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 
 import pandas as pd
 
-from ..core.evaluation import PRF
+from ..core.evaluation import ScoredMatches, evaluate_pandas
 from .umc import unique_mapping_clustering
 
 ITERATIONS = 3
 """Rounds of relation alignment and probability propagation."""
 ACCEPT_THRESHOLD = 0.5
 """A pair counts as a probable match, and may be matched, from this probability."""
-
-
-@dataclass
-class ParisResult:
-    matches: pd.DataFrame  # (eid1, eid2)
-    precision: float
-    recall: float
-    f1: float
 
 
 def _literal_index(pdf: pd.DataFrame) -> dict[str, list[int]]:
@@ -61,7 +52,7 @@ def run_paris(
     pdf1: pd.DataFrame,
     pdf2: pd.DataFrame,
     gt_pdf: pd.DataFrame,
-) -> ParisResult:
+) -> ScoredMatches:
     """Run the fixed-point probability iteration and score the matches."""
     lit1, lit2 = _literal_index(pdf1), _literal_index(pdf2)
     edges1, edges2 = _rel_edges(pdf1), _rel_edges(pdf2)
@@ -144,7 +135,4 @@ def run_paris(
         columns=["eid1", "eid2", "sim"],
     )
     matches = unique_mapping_clustering(cand, ACCEPT_THRESHOLD)[["eid1", "eid2"]]
-    n_m = len(matches)
-    hit = len(matches.merge(gt_pdf, on=["eid1", "eid2"])) if n_m else 0
-    prf = PRF.from_counts(n_m, len(gt_pdf), hit)
-    return ParisResult(matches, prf.precision, prf.recall, prf.f1)
+    return ScoredMatches(matches, evaluate_pandas(matches, gt_pdf))

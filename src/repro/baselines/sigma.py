@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from dataclasses import dataclass
 
 import pandas as pd
 from pyspark.sql import DataFrame
 
-from ..core.evaluation import PRF
+from ..core.evaluation import ScoredMatches, evaluate_pandas
 from ..core.names import entity_names
 from .bsl import entity_grams, pair_similarities, weighted_grams
 
@@ -33,14 +32,6 @@ THRESHOLD = 0.3
 """The greedy loop accepts no pair scoring below this."""
 MAX_CANDS_PER_ENTITY = 20
 """Value-scored candidates kept per KB1 entity, best first."""
-
-
-@dataclass
-class SigmaResult:
-    matches: pd.DataFrame  # (eid1, eid2)
-    precision: float
-    recall: float
-    f1: float
 
 
 def _neighbors(pdf: pd.DataFrame) -> dict[int, set[int]]:
@@ -60,7 +51,7 @@ def run_sigma(
     pdf1: pd.DataFrame,
     pdf2: pd.DataFrame,
     gt_pdf: pd.DataFrame,
-) -> SigmaResult:
+) -> ScoredMatches:
     """Run the greedy propagation loop and score against the ground truth.
 
     ``pairs`` is the unpruned disjunctive blocking graph ``(eid1, eid2)``,
@@ -143,7 +134,4 @@ def run_sigma(
     matches = pd.DataFrame(
         {"eid1": list(m1.keys()), "eid2": [m1[k] for k in m1]}
     )
-    n_m = len(matches)
-    hit = len(matches.merge(gt_pdf, on=["eid1", "eid2"])) if n_m else 0
-    prf = PRF.from_counts(n_m, len(gt_pdf), hit)
-    return SigmaResult(matches, prf.precision, prf.recall, prf.f1)
+    return ScoredMatches(matches, evaluate_pandas(matches, gt_pdf))

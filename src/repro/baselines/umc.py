@@ -15,9 +15,7 @@ import numpy as np
 import pandas as pd
 
 
-def unique_mapping_clustering(
-    scored: pd.DataFrame, threshold: float = 0.0
-) -> pd.DataFrame:
+def unique_mapping_clustering(scored: pd.DataFrame, threshold: float) -> pd.DataFrame:
     """Greedy 1-1 matching over ``(eid1, eid2, sim)`` rows.
 
     Returns the accepted pairs as a DataFrame with the same columns.

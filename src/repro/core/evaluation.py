@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -61,3 +62,21 @@ def evaluate(matches: DataFrame, gt: DataFrame) -> PRF:
         .collect()[0]
     )
     return PRF.from_counts(n_m, n_gt, n_ok)
+
+
+def evaluate_pandas(matches: pd.DataFrame, gt: pd.DataFrame) -> PRF:
+    """``evaluate`` for pandas pairs (the baselines' matches):
+    both sides deduplicated, the same counts, the same scores."""
+    pairs = matches[_PAIR].drop_duplicates()
+    truth = gt[_PAIR].drop_duplicates()
+    # an empty frame may have object columns, which pandas will not merge
+    hit = len(pairs.merge(truth, on=_PAIR)) if len(pairs) and len(truth) else 0
+    return PRF.from_counts(len(pairs), len(truth), hit)
+
+
+@dataclass(frozen=True)
+class ScoredMatches:
+    """A baseline's pandas matches ``(eid1, eid2)`` and their scores."""
+
+    matches: pd.DataFrame
+    prf: PRF

@@ -35,11 +35,10 @@ def harmonic_mean(a: str, b: str) -> Column:
     return F.when((x + y) > 0, 2.0 * x * y / (x + y)).otherwise(F.lit(0.0))
 
 
-def relation_importance(triples: DataFrame, n_entities: int | None = None) -> DataFrame:
-    """``(rel, support, discriminability, importance)`` per relation."""
+def relation_importance(triples: DataFrame, n_entities: int) -> DataFrame:
+    """``(rel, support, discriminability, importance)`` per relation of a KB
+    of ``n_entities`` entities (|E|, in the support's denominator)."""
     edges = relation_edges(triples)
-    if n_entities is None:
-        n_entities = triples.select("eid").distinct().count()
     per_rel = edges.groupBy("rel").agg(
         F.count("*").alias("instances"),
         F.countDistinct("obj").alias("objects"),
@@ -53,17 +52,16 @@ def relation_importance(triples: DataFrame, n_entities: int | None = None) -> Da
     )
 
 
-def top_n_neighbors(triples: DataFrame, n: int, importance: DataFrame | None = None) -> DataFrame:
+def top_n_neighbors(triples: DataFrame, n: int, importance: DataFrame) -> DataFrame:
     """``(eid, neighbor)`` — objects of each entity's N most important relations.
 
     The N relations are chosen *per entity* among the relations it
     actually uses, ordered by the KB-global importance score (ties break
     on relation name for determinism). All objects of those relations
-    are kept, matching ``topNneighbors`` of Definition 2.4.
+    are kept, matching ``topNneighbors`` of Definition 2.4. ``importance``
+    is the KB's ``relation_importance``.
     """
     edges = relation_edges(triples)
-    if importance is None:
-        importance = relation_importance(triples)
     ent_rels = edges.select("eid", "rel").distinct().join(
         importance.select("rel", "importance"), "rel"
     )

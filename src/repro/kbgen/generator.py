@@ -133,7 +133,7 @@ def _hub_rel_name(kb: int, p: Profile) -> str:
 
 
 def generate_pandas(
-    p: Profile, seed: int = 7
+    p: Profile, seed: int
 ) -> tuple[pd.DataFrame, pd.DataFrame, pd.DataFrame]:
     """Generate (triples1, triples2, ground_truth) as pandas DataFrames."""
     rng = np.random.default_rng(seed)
@@ -338,7 +338,7 @@ def to_spark(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
     return spark.createDataFrame(recs, schema=TRIPLE_SCHEMA)
 
 
-def generate_kb_pair(spark: SparkSession, p: Profile, seed: int = 7) -> KBPair:
+def generate_kb_pair(spark: SparkSession, p: Profile, seed: int) -> KBPair:
     """Generate the full ER task as Spark DataFrames (plus pandas copies)."""
     pdf1, pdf2, gt_pdf = generate_pandas(p, seed)
     return KBPair(

@@ -1,9 +1,11 @@
 """Dataset statistics for Table 1 of the paper.
 
-Computes, per KB: entity count, triple count, average tokens per entity,
-number of (literal) attributes, number of relations, number of types and
-number of vocabularies (namespace prefixes), plus the ground-truth match
-count — the same rows the paper reports in its Table 1.
+Computes, per KB: triple count, average tokens per entity, number of
+(literal) attributes, number of relations, number of types and number of
+vocabularies (namespace prefixes), plus the ground-truth match count — the
+same rows the paper reports in its Table 1. The entity count |E| is the
+caller's: Table 1 reads it from the KB pair's ``Blocking``, which has
+counted it.
 """
 from __future__ import annotations
 
@@ -14,9 +16,9 @@ from ..core.tokens import TOKEN_SPLIT
 from .generator import KBPair
 
 
-def kb_stats(triples: DataFrame) -> dict[str, float]:
-    """Table-1 statistics for one KB (single pass per metric)."""
-    n_entities = triples.select("eid").distinct().count()
+def kb_stats(triples: DataFrame, n_entities: int) -> dict[str, float]:
+    """Table-1 statistics for one KB of ``n_entities`` entities (single pass
+    per metric; the caller has counted |E|, e.g. ``Blocking.n1``)."""
     n_triples = triples.count()
     # the paper's "av. tokens" counts token *occurrences* in the raw values,
     # not the per-entity distinct tokens of ``literal_tokens``
@@ -58,10 +60,11 @@ def kb_stats(triples: DataFrame) -> dict[str, float]:
     }
 
 
-def dataset_stats(pair: KBPair) -> dict[str, object]:
-    """Full Table-1 row set for one generated dataset."""
-    s1 = kb_stats(pair.triples1)
-    s2 = kb_stats(pair.triples2)
+def dataset_stats(pair: KBPair, n1: int, n2: int) -> dict[str, object]:
+    """Full Table-1 row set for one generated dataset of |E1| = ``n1`` and
+    |E2| = ``n2`` entities."""
+    s1 = kb_stats(pair.triples1, n1)
+    s2 = kb_stats(pair.triples2, n2)
     return {
         "dataset": pair.profile.name,
         "kb1": s1,

@@ -1,18 +1,15 @@
 """Table 1 harness: dataset statistics per profile."""
 from __future__ import annotations
 
-from pyspark.sql import SparkSession
-
 from ..kbgen.stats import dataset_stats
-from .pairs import SEED, ProfileRun, run_tables
+from .pairs import ProfileRun
 
 TITLE = "Table 1 — dataset statistics (ours)"
 
 
 def rows(run: ProfileRun) -> list[dict]:
-    """The profile's row, ours next to nothing — the paper's numbers are
-    joined in EXPERIMENTS.md / jobs output."""
-    s = dataset_stats(run.pair)
+    """The profile's row, with |E1| and |E2| from the shared ``Blocking``."""
+    s = dataset_stats(run.pair, run.blocking.n1, run.blocking.n2)
     return [
         {
             "dataset": run.name,
@@ -29,10 +26,3 @@ def rows(run: ProfileRun) -> list[dict]:
             "matches": s["matches"],
         }
     ]
-
-
-def table1_rows(
-    spark: SparkSession, profiles: list[str] | None = None, seed: int = SEED, sf: float | None = None
-) -> list[dict]:
-    """One row per profile (Table 1 alone)."""
-    return run_tables(spark, [rows], profiles, seed, sf)[0]

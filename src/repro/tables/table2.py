@@ -1,9 +1,7 @@
 """Table 2 harness: block statistics per profile."""
 from __future__ import annotations
 
-from pyspark.sql import SparkSession
-
-from .pairs import SEED, ProfileRun, run_tables
+from .pairs import ProfileRun
 
 TITLE = "Table 2 — block statistics (ours)"
 
@@ -25,10 +23,3 @@ def rows(run: ProfileRun) -> list[dict]:
             "f1": s.f1,
         }
     ]
-
-
-def table2_rows(
-    spark: SparkSession, profiles: list[str] | None = None, seed: int = SEED, sf: float | None = None
-) -> list[dict]:
-    """One row per profile (Table 2 alone)."""
-    return run_tables(spark, [rows], profiles, seed, sf)[0]

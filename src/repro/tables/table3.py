@@ -7,11 +7,9 @@ SiGMa-lite and PARIS-lite. BSL and SiGMa-lite score the run's ``Blocking``.
 """
 from __future__ import annotations
 
-from pyspark.sql import SparkSession
-
 from ..core import DEFAULT_CONFIG
 from ..baselines import paris, run_bsl, run_paris, run_sigma, sigma
-from .pairs import SEED, ProfileRun, run_tables
+from .pairs import ProfileRun
 
 TITLE = "Table 3 — effectiveness vs baselines (ours)"
 
@@ -43,13 +41,5 @@ def rows(run: ProfileRun) -> list[dict]:
         ("SiGMa-lite", sg, f"seeds=names,lambda={sigma.NEIGHBOR_WEIGHT},t={sigma.THRESHOLD}"),
         ("PARIS-lite", pr, f"iters={paris.ITERATIONS},t={paris.ACCEPT_THRESHOLD}"),
     ):
-        prf = {m: round(getattr(res, m), 2) for m in ("precision", "recall", "f1")}
-        out.append({"dataset": run.name, "method": method, **prf, "config": config})
+        out.append({"dataset": run.name, "method": method, **res.prf.row(), "config": config})
     return out
-
-
-def table3_rows(
-    spark: SparkSession, profiles: list[str] | None = None, seed: int = SEED, sf: float | None = None
-) -> list[dict]:
-    """Four rows per profile (Table 3 alone)."""
-    return run_tables(spark, [rows], profiles, seed, sf)[0]

@@ -10,11 +10,11 @@ on its own over the graph, as the paper isolates Algorithm 2's rules.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from ..core import DEFAULT_CONFIG, BlockingGraph, evaluate, rule2, rule3, rule4
-from .pairs import SEED, ProfileRun, run_tables
+from .pairs import ProfileRun
 
 TITLE = "Table 4 — matching-rule ablation (ours)"
 
@@ -42,10 +42,3 @@ def rows(run: ProfileRun) -> list[dict]:
         {"dataset": run.name, "variant": variant, **prf.row()}
         for variant, prf in prfs.items()
     ]
-
-
-def table4_rows(
-    spark: SparkSession, profiles: list[str] | None = None, seed: int = SEED, sf: float | None = None
-) -> list[dict]:
-    """Six rows per profile (Table 4 alone)."""
-    return run_tables(spark, [rows], profiles, seed, sf)[0]

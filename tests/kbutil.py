@@ -4,6 +4,7 @@ from __future__ import annotations
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
+from repro.core.relations import relation_importance, top_n_neighbors
 from repro.kbgen.generator import TRIPLE_SCHEMA
 
 
@@ -19,6 +20,16 @@ def kb(spark: SparkSession, rows: list[tuple]) -> DataFrame:
     ]
     pdf["val"] = pdf["val"].astype(object).where(pdf["val"].notna(), None)
     return spark.createDataFrame(pdf, schema=TRIPLE_SCHEMA)
+
+
+def n_entities(triples: DataFrame) -> int:
+    """|E| of a KB, counted as the program counts it: its distinct subjects."""
+    return triples.select("eid").distinct().count()
+
+
+def top_neighbors(triples: DataFrame, n: int) -> DataFrame:
+    """``top_n_neighbors`` of a KB, ranked by the KB's own relation importance."""
+    return top_n_neighbors(triples, n, relation_importance(triples, n_entities(triples)))
 
 
 def gt_df(spark: SparkSession, pairs: list[tuple[int, int]]) -> DataFrame:

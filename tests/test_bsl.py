@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
@@ -115,51 +114,48 @@ class TestPairSimilarities:
 
 
 class TestRunBSL:
-    def test_finds_good_config_on_micro(self, micro_pair, micro_candidates):
+    """The paper's full grid, run once on micro."""
+
+    @pytest.fixture(scope="class")
+    def run(self, spark, micro_pair, micro_candidates):
+        """``(result, persistent RDDs before, persistent RDDs after)``."""
+        before = persistent_rdds(spark)
         res = run_bsl(
             micro_pair.triples1,
             micro_pair.triples2,
             micro_candidates,
             micro_pair.gt_pdf,
-            ns=(1,),
-            thresholds=np.arange(0.0, 1.0, 0.1),
         )
-        assert res.f1 >= 70.0  # micro is value-rich: tuned BSL must do well
+        return res, before, persistent_rdds(spark)
+
+    def test_finds_good_config_on_micro(self, run):
+        res = run[0]
+        assert res.prf.f1 >= 70.0  # micro is value-rich: tuned BSL must do well
         assert res.measure in ("cosine", "jaccard", "genjaccard", "sigma")
 
-    def test_grid_has_all_configs(self, micro_pair, micro_candidates):
-        res = run_bsl(
-            micro_pair.triples1,
-            micro_pair.triples2,
-            micro_candidates,
-            micro_pair.gt_pdf,
-            ns=(1,),
-            thresholds=np.arange(0.0, 1.0, 0.25),
-        )
-        # (tf: 3 measures + tfidf: 4 measures) x 4 thresholds
-        assert len(res.grid) == 7 * 4
+    def test_grid_has_all_configs(self, run):
+        grid = run[0].grid
+        # the paper's 420: 3 n-gram sizes x (tf: 3 measures + tfidf: 4) x 20 thresholds
+        assert len(grid) == 420
+        configs = set(zip(grid.n, grid.weighting, grid.measure))
+        assert configs == {
+            (n, w, m)
+            for n in (1, 2, 3)
+            for w in ("tf", "tfidf")
+            for m in ("cosine", "jaccard", "genjaccard", "sigma")
+            if m != "sigma" or w == "tfidf"
+        }
+        assert sorted(set(grid.threshold)) == [round(0.05 * i, 2) for i in range(20)]
+        assert len(grid.drop_duplicates(["n", "weighting", "measure", "threshold"])) == 420
 
-    def test_best_row_consistent_with_grid(self, micro_pair, micro_candidates):
-        res = run_bsl(
-            micro_pair.triples1,
-            micro_pair.triples2,
-            micro_candidates,
-            micro_pair.gt_pdf,
-            ns=(1,),
-            thresholds=np.arange(0.0, 1.0, 0.25),
+    def test_best_row_consistent_with_grid(self, run):
+        res = run[0]
+        assert res.prf.f1 == pytest.approx(res.grid.f1.max())
+        best = res.grid.loc[res.grid.f1.idxmax()]
+        assert (best.n, best.weighting, best.measure, best.threshold) == (
+            res.n, res.weighting, res.measure, res.threshold
         )
-        assert res.f1 == pytest.approx(res.grid.f1.max())
 
-    def test_leaves_no_cached_frame(self, spark, micro_pair, micro_candidates):
-        before = persistent_rdds(spark)
-        run_bsl(
-            micro_pair.triples1,
-            micro_pair.triples2,
-            micro_candidates,
-            micro_pair.gt_pdf,
-            ns=(1,),
-            weightings=("tf",),
-            measures=("jaccard",),
-            thresholds=np.arange(0.0, 1.0, 0.5),
-        )
-        assert persistent_rdds(spark) <= before
+    def test_leaves_no_cached_frame(self, run):
+        _, before, after = run
+        assert after <= before

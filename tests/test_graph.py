@@ -9,12 +9,12 @@ import pytest
 from pyspark.sql import functions as F
 
 from tests import reference
-from tests.kbutil import cached_rdds, persistent_rdds
+from tests.kbutil import cached_rdds, persistent_rdds, top_neighbors
 from repro.core import DEFAULT_CONFIG
 from repro.core.blocking import composite_blocking, token_block_index
 from repro.core.graph import beta_scores, build_graph, gamma_scores, top_k_directed
 from repro.core.matching import match_graph
-from repro.core.relations import top_in_neighbors, top_n_neighbors
+from repro.core.relations import top_in_neighbors
 from repro.oracle import assert_equivalent
 
 
@@ -155,8 +155,8 @@ class TestGammaScores:
         )
         want = reference.gamma_scores(edges, topin1, topin2)
 
-        tin1 = top_in_neighbors(top_n_neighbors(micro_pair.triples1, DEFAULT_CONFIG.N))
-        tin2 = top_in_neighbors(top_n_neighbors(micro_pair.triples2, DEFAULT_CONFIG.N))
+        tin1 = top_in_neighbors(top_neighbors(micro_pair.triples1, DEFAULT_CONFIG.N))
+        tin2 = top_in_neighbors(top_neighbors(micro_pair.triples2, DEFAULT_CONFIG.N))
         got = {
             (r.eid1, r.eid2): r.gamma
             for r in gamma_scores(retained, tin1, tin2).collect()
@@ -171,8 +171,8 @@ class TestGammaScores:
             .union(micro_graph.beta_out2.select("eid1", "eid2", "beta"))
             .distinct()
         )
-        tin1 = top_in_neighbors(top_n_neighbors(micro_pair.triples1, DEFAULT_CONFIG.N))
-        tin2 = top_in_neighbors(top_n_neighbors(micro_pair.triples2, DEFAULT_CONFIG.N))
+        tin1 = top_in_neighbors(top_neighbors(micro_pair.triples1, DEFAULT_CONFIG.N))
+        tin2 = top_in_neighbors(top_neighbors(micro_pair.triples2, DEFAULT_CONFIG.N))
         got = gamma_scores(retained, tin1, tin2).select(
             "eid1", "eid2", F.round("gamma", 9).alias("gamma")
         )

@@ -20,8 +20,8 @@ class TestEndToEnd:
 
     def test_restaurant_small_effectiveness(self, restaurant_small_result):
         # ~27 ground-truth pairs at this scale: each miss costs ~4 F1,
-        # so the bound is loose; bench-scale shape is asserted in
-        # benchmarks/bench_table3.py.
+        # so the bound is loose; `python -m repro.jobs table3` checks the
+        # full-scale shape (tables/claims.py).
         assert restaurant_small_result.prf.recall >= 90.0
         assert restaurant_small_result.prf.f1 >= 82.0
 

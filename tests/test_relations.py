@@ -5,13 +5,8 @@ import pytest
 from pyspark.sql import functions as F
 
 from tests import reference
-from tests.kbutil import kb
-from repro.core.relations import (
-    relation_edges,
-    relation_importance,
-    top_in_neighbors,
-    top_n_neighbors,
-)
+from tests.kbutil import kb, n_entities, top_neighbors
+from repro.core.relations import relation_edges, relation_importance, top_in_neighbors
 from repro.oracle import assert_equivalent
 
 
@@ -64,7 +59,7 @@ class TestRelationImportance:
 
     def test_matches_reference(self, micro_pair):
         got = (
-            relation_importance(micro_pair.triples1)
+            relation_importance(micro_pair.triples1, n_entities(micro_pair.triples1))
             .toPandas()
             .set_index("rel")
             .importance.round(9)
@@ -104,30 +99,30 @@ class TestRelationImportance:
 
 class TestTopNeighbors:
     def test_top1_picks_most_important_relation(self, spark, relkb):
-        top = top_n_neighbors(relkb, 1)
+        top = top_neighbors(relkb, 1)
         nb1 = {r.neighbor for r in top.filter(F.col("eid") == 1).collect()}
         assert nb1 == {10}  # a:good outranks a:hub
 
     def test_top2_includes_hub(self, spark, relkb):
-        top = top_n_neighbors(relkb, 2)
+        top = top_neighbors(relkb, 2)
         nb1 = {r.neighbor for r in top.filter(F.col("eid") == 1).collect()}
         assert nb1 == {10, 99}
 
     def test_entity_with_only_hub(self, spark, relkb):
-        top = top_n_neighbors(relkb, 1)
+        top = top_neighbors(relkb, 1)
         nb5 = {r.neighbor for r in top.filter(F.col("eid") == 5).collect()}
         assert nb5 == {99}  # local order: its only relation is its best
 
     def test_matches_reference(self, micro_pair):
         for n in (1, 3):
             got: dict[int, set[int]] = {}
-            for r in top_n_neighbors(micro_pair.triples1, n).collect():
+            for r in top_neighbors(micro_pair.triples1, n).collect():
                 got.setdefault(r.eid, set()).add(r.neighbor)
             ref = reference.top_n_neighbors(micro_pair.pdf1, n)
             assert got == ref
 
     def test_in_neighbors_is_reverse(self, spark, relkb):
-        top = top_n_neighbors(relkb, 2)
+        top = top_neighbors(relkb, 2)
         inn = top_in_neighbors(top)
         fwd = {(r.eid, r.neighbor) for r in top.collect()}
         rev = {(r.in_neighbor, r.eid) for r in inn.collect()}

@@ -33,7 +33,7 @@ class TestSigmaLite:
     def test_high_f1_on_low_variety(self, result):
         # paper: SiGMa 97 F1 on Restaurant — the greedy propagation works
         # when names and values are strongly shared
-        assert result.f1 >= 80.0
+        assert result.prf.f1 >= 80.0
 
     def test_one_to_one(self, result):
         assert result.matches.eid1.is_unique
@@ -41,7 +41,8 @@ class TestSigmaLite:
 
     def test_counts_consistent(self, result, rest_small):
         hit = len(result.matches.merge(rest_small.gt_pdf, on=["eid1", "eid2"]))
-        assert result.recall == pytest.approx(100.0 * hit / len(rest_small.gt_pdf))
+        assert result.prf.n_correct == hit
+        assert result.prf.recall == pytest.approx(100.0 * hit / len(rest_small.gt_pdf))
 
 
 class TestParisLite:
@@ -49,7 +50,7 @@ class TestParisLite:
         res = run_paris(rest_small.pdf1, rest_small.pdf2, rest_small.gt_pdf)
         # paper: PARIS 91 F1 on Restaurant; the lite version must at least
         # resolve the majority via exact names + relation propagation
-        assert res.f1 >= 55.0
+        assert res.prf.f1 >= 55.0
 
     def test_collapses_on_format_heterogeneity(self, spark):
         """The BBCmusic-DBpedia failure: KB2 renders values in a different
@@ -57,7 +58,7 @@ class TestParisLite:
         prof = scaled(PROFILES["bbc_dbpedia"], 0.1)
         p1, p2, gt = generate_pandas(prof, seed=7)
         res = run_paris(p1, p2, gt)
-        assert res.f1 <= 15.0
+        assert res.prf.f1 <= 15.0
 
     def test_hub_relation_carries_no_evidence(self, spark):
         """Two entities sharing only a hub neighbor must not be matched:
@@ -88,4 +89,4 @@ class TestParisLite:
         empty = pd.DataFrame(columns=["eid", "attr", "val", "obj"])
         gt = pd.DataFrame({"eid1": [], "eid2": []})
         res = run_paris(empty, empty, gt)
-        assert res.f1 == 0.0
+        assert res.prf.f1 == 0.0

@@ -8,26 +8,15 @@ from unittest import mock
 import pytest
 
 from tests.kbutil import cached_rdds, persistent_rdds
+from tests.test_claims import paper_rows
 from repro import jobs
 from repro.baselines import paris, sigma
-from repro.tables import (
-    format_rows,
-    pairs,
-    paper_numbers,
-    table1,
-    table1_rows,
-    table2,
-    table2_rows,
-    table3,
-    table3_rows,
-    table4,
-    table4_rows,
-)
+from repro.tables import claims, format_rows, pairs, paper_numbers, table1, table2, table3, table4
 from repro.tables.pairs import ProfileRun, run_tables
 
 PROFILE = ["restaurant"]  # the cheapest real profile, scaled by SF
 SF = 0.2
-COUNTED = {  # function: calls per profile in one pass of Tables 2-4
+COUNTED = {  # function: calls per profile in one pass of Tables 1-4
     "generate_kb_pair": 1,
     "build_graph": 1,
     "composite_blocking": 1,
@@ -35,11 +24,14 @@ COUNTED = {  # function: calls per profile in one pass of Tables 2-4
     "top_k_name_attrs": 2,  # once per KB, SiGMa-lite included
     "beta_scores": 1,
 }
-HARNESSES = {"table2": table2_rows, "table3": table3_rows, "table4": table4_rows}
+ENTITY_COUNTS = 2  # |E| per profile in one pass: once per KB
+TRIPLE_COLUMNS = ["eid", "attr", "val", "obj"]
 
 
-def _count_calls(mp: pytest.MonkeyPatch, calls: Counter) -> None:
-    """Count the calls any ``repro`` module makes to the functions in ``COUNTED``."""
+def _count_calls(spark, mp: pytest.MonkeyPatch, calls: Counter) -> None:
+    """Count the calls any ``repro`` module makes to the functions in
+    ``COUNTED``, and as ``calls["|E|"]`` the |E| counts: the program counts a
+    KB's entities as ``triples.select("eid").distinct().count()``."""
     modules = [m for n, m in list(sys.modules.items()) if n.startswith("repro.")]
     for name in COUNTED:
         (real,) = {getattr(m, name) for m in modules if hasattr(m, name)}
@@ -52,19 +44,32 @@ def _count_calls(mp: pytest.MonkeyPatch, calls: Counter) -> None:
             if getattr(m, name, None) is real:
                 mp.setattr(m, name, counted)
 
+    frame = type(spark.range(1))
+    real_select = frame.select
+
+    def select(self, *cols):
+        # a Column's == builds a Column, so compare names only
+        if len(cols) == 1 and isinstance(cols[0], str) and cols[0] == "eid" and (
+            self.columns == TRIPLE_COLUMNS
+        ):
+            calls["|E|"] += 1
+        return real_select(self, *cols)
+
+    mp.setattr(frame, "select", select)
+
 
 @pytest.fixture(scope="module")
 def single(spark):
-    """Tables 2-4, each harness alone: ``{table: (rows, calls, new persistent
-    RDDs, new cached RDDs)}``, the RDD sets taken around the harness."""
+    """Tables 1-4, each alone in a pass: ``{table: (rows, calls, new persistent
+    RDDs, new cached RDDs)}``, the RDD sets taken around the pass."""
     out = {}
-    for table, harness in HARNESSES.items():
+    for name, table in jobs.TABLES.items():
         calls: Counter = Counter()
         persistent, cached = persistent_rdds(spark), cached_rdds(spark)
         with pytest.MonkeyPatch.context() as mp:
-            _count_calls(mp, calls)
-            rows = harness(spark, profiles=PROFILE, sf=SF)
-        out[table] = (
+            _count_calls(spark, mp, calls)
+            (rows,) = run_tables(spark, [table.rows], PROFILE, pairs.SEED, SF)
+        out[name] = (
             rows,
             calls,
             persistent_rdds(spark) - persistent,
@@ -75,15 +80,15 @@ def single(spark):
 
 @pytest.fixture(scope="module")
 def one_pass(spark):
-    """Tables 2-4 in one pass: ``({table: rows}, calls, new cached RDDs)``."""
+    """Tables 1-4 in one pass: ``({table: rows}, calls, new cached RDDs)``."""
     calls: Counter = Counter()
     cached = cached_rdds(spark)
     with pytest.MonkeyPatch.context() as mp:
-        _count_calls(mp, calls)
+        _count_calls(spark, mp, calls)
         rows = run_tables(
-            spark, [table2.rows, table3.rows, table4.rows], PROFILE, pairs.SEED, SF
+            spark, [t.rows for t in jobs.TABLES.values()], PROFILE, pairs.SEED, SF
         )
-    return dict(zip(HARNESSES, rows)), calls, cached_rdds(spark) - cached
+    return dict(zip(jobs.TABLES, rows)), calls, cached_rdds(spark) - cached
 
 
 class TestPaperNumbers:
@@ -137,12 +142,13 @@ class TestFormat:
 class TestHarnesses:
     """Smoke the harnesses on the cheapest real profile (restaurant, scaled).
 
-    The benchmarks run them at bench scale and check the paper's shape;
-    here we validate row structure.
+    ``python -m repro.jobs`` runs them at full scale and checks the paper's
+    claims (``tables.claims``); here we validate row structure.
     """
 
-    def test_table1_rows(self, spark):
-        rows = table1_rows(spark, profiles=PROFILE, sf=SF)
+    def test_table1_rows(self, single):
+        rows, calls, _, _ = single["table1"]
+        assert calls["|E|"] == ENTITY_COUNTS * len(PROFILE)  # the Blocking's only
         assert len(rows) == 1
         r = rows[0]
         assert r["dataset"] == "restaurant"
@@ -182,15 +188,18 @@ class TestHarnesses:
 
 
 class TestOnePass:
-    """Tables 2-4 in one pass share one KB pair, one graph and one blocking."""
+    """Tables 1-4 in one pass share one KB pair, one graph and one blocking."""
 
     def test_each_shared_piece_is_built_once(self, one_pass):
         _, calls, _ = one_pass
-        assert calls == {name: n * len(PROFILE) for name, n in COUNTED.items()}
+        assert calls == {
+            **{name: n * len(PROFILE) for name, n in COUNTED.items()},
+            "|E|": ENTITY_COUNTS * len(PROFILE),
+        }
 
     def test_rows_equal_the_single_table_harnesses(self, one_pass, single):
         rows, _, _ = one_pass
-        assert rows == {table: single[table][0] for table in HARNESSES}
+        assert rows == {table: single[table][0] for table in jobs.TABLES}
 
     def test_leaves_no_cached_frame(self, one_pass):
         assert not one_pass[2]
@@ -237,30 +246,59 @@ class TestOnePass:
 
 
 class TestJobs:
-    def test_each_table_runs_its_harness(self, monkeypatch, capsys):
-        """``all`` runs every table's ``rows`` in one pass and prints them in order."""
-        assert jobs.TABLES == {
-            "table1": table1,
-            "table2": table2,
-            "table3": table3,
-            "table4": table4,
-        }
+    @pytest.fixture
+    def fake_pass(self, monkeypatch):
+        """``jobs`` with no Spark: ``run_tables`` returns ``paper_rows()`` for
+        the tables asked; the passes made are returned, and ``rows`` may be
+        edited before ``main`` runs."""
+        rows = paper_rows()
         passes = []
+        names = {t.rows: name for name, t in jobs.TABLES.items()}
 
         def fake_run_tables(spark, tables, profiles, seed, sf):
             passes.append((tables, profiles, seed, sf))
-            return [[{"dataset": f"rows of {i}"}] for i in range(len(tables))]
+            return [rows[names[t]] for t in tables]
 
         monkeypatch.setattr(jobs, "SparkSession", mock.MagicMock())
         monkeypatch.setattr(jobs, "run_tables", fake_run_tables)
-        jobs.main(["all"])
+        return rows, passes
+
+    def test_each_table_runs_its_harness(self, fake_pass, capsys):
+        """``all`` runs every table's ``rows`` in one pass, prints them in
+        order, then every claim, and exits 0 when all claims hold."""
         tables = (table1, table2, table3, table4)
+        assert jobs.TABLES == dict(zip(("table1", "table2", "table3", "table4"), tables))
+        rows, passes = fake_pass
+        assert jobs.main(["all"]) == 0
         assert passes == [([t.rows for t in tables], None, pairs.SEED, None)]
         out = capsys.readouterr().out
-        positions = [out.index(t.TITLE) for t in tables]
+        positions = [out.index(t.TITLE) for t in tables] + [out.index(jobs.CLAIMS_TITLE)]
         assert positions == sorted(positions)
-        for i in range(len(tables)):
-            assert f"| rows of {i} |" in out
+        for name, t in jobs.TABLES.items():
+            assert format_rows(t.TITLE, rows[name]) in out
+        for c in claims.CLAIMS:
+            assert f"| PASS | {c.table} | {c.text} |" in out
+        assert "| FAIL |" not in out
+
+    def test_failing_claim_exits_nonzero(self, fake_pass, capsys):
+        rows, _ = fake_pass
+        (bsl,) = (r for r in rows["table3"] if (r["dataset"], r["method"]) == ("bbc_dbpedia", "BSL"))
+        bsl["f1"] = 95.0
+        assert jobs.main(["table3"]) == 1
+        out = capsys.readouterr().out
+        assert "| FAIL | table3 | bbc_dbpedia: MinoanER F1 > BSL F1 |" in out
+        assert out.count("| FAIL |") == 1
+
+    def test_checks_only_the_tables_computed(self, fake_pass, capsys):
+        rows, passes = fake_pass
+        rows["table3"].clear()  # every Table 3 claim would fail
+        assert jobs.main(["table2"]) == 0
+        assert passes == [([table2.rows], None, pairs.SEED, None)]
+        out = capsys.readouterr().out
+        checked = [line for line in out.splitlines() if line.startswith("| PASS |")]
+        assert checked == [
+            f"| PASS | table2 | {c.text} |" for c in claims.CLAIMS if c.table == "table2"
+        ]
 
     def test_unknown_table_exits_nonzero(self, capsys):
         with pytest.raises(SystemExit) as exc:
