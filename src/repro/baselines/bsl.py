@@ -15,8 +15,9 @@ resolves with Unique Mapping Clustering. The grid mirrors the paper's
 * UMC thresholds in [0, 1) with step 0.05.
 
 The best F1 over the grid is reported, i.e. BSL is fine-tuned on the
-ground truth exactly as the paper describes. Scoring runs in Spark; the
-threshold sweep and UMC run on the driver over the collected scores.
+ground truth exactly as the paper describes. Scoring runs in Spark; UMC
+and the threshold sweep run on the driver over the collected scores: one
+UMC scan per measure, cut at each threshold (``umc`` says why).
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from ..core.evaluation import PRF, evaluate_pandas
-from ..core.tokens import TOKEN_SPLIT
+from ..core.tokens import value_tokens
 from .umc import unique_mapping_clustering
 
 NS = (1, 2, 3)
@@ -44,16 +45,13 @@ THRESHOLDS = np.arange(0.0, 1.0, 0.05)
 def entity_grams(triples: DataFrame, n: int) -> DataFrame:
     """``(eid, gram, tf)`` — word n-grams per entity with term frequencies.
 
-    N-grams are built within each literal value (they do not span
-    values), joined with ``_`` so a gram is a single blocking-style key.
+    N-grams are built within each literal value's ``value_tokens`` (they
+    do not span values), joined with ``_`` so a gram is a single
+    blocking-style key.
     """
     toks = (
         triples.filter(F.col("val").isNotNull())
-        .select(
-            "eid",
-            F.split(F.lower(F.col("val")), TOKEN_SPLIT).alias("raw"),
-        )
-        .select("eid", F.expr("filter(raw, t -> t != '')").alias("toks"))
+        .select("eid", value_tokens(F.col("val")).alias("toks"))
         .filter(F.size("toks") >= n)
     )
     grams = toks.select(
@@ -196,11 +194,11 @@ def run_bsl(
             scored = sims[["eid1", "eid2", measure]].rename(
                 columns={measure: "sim"}
             )
-            scored = scored[scored.sim > 0]
+            accepted = unique_mapping_clustering(scored[scored.sim > 0])
             for t in THRESHOLDS:
                 configs.append((n, weighting, measure, round(float(t), 2)))
                 prfs.append(
-                    evaluate_pandas(unique_mapping_clustering(scored, float(t)), gt_pdf)
+                    evaluate_pandas(accepted[accepted.sim >= float(t)], gt_pdf)
                 )
     grid = pd.DataFrame(
         [(*c, p.precision, p.recall, p.f1) for c, p in zip(configs, prfs)],

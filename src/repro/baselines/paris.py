@@ -134,5 +134,5 @@ def run_paris(
         [(a, b, p) for (a, b), p in prob.items() if p >= ACCEPT_THRESHOLD],
         columns=["eid1", "eid2", "sim"],
     )
-    matches = unique_mapping_clustering(cand, ACCEPT_THRESHOLD)[["eid1", "eid2"]]
+    matches = unique_mapping_clustering(cand)[["eid1", "eid2"]]
     return ScoredMatches(matches, evaluate_pandas(matches, gt_pdf))

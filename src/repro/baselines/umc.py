@@ -2,8 +2,11 @@
 
 All scored candidate pairs enter a priority queue in decreasing
 similarity; at each step the top pair is accepted as a match iff neither
-entity has been matched yet; the process stops when the top similarity
-drops below a threshold ``t``. Used by BSL, SiGMa-lite and PARIS-lite.
+entity has been matched yet. The paper stops the scan when the top
+similarity drops below a threshold ``t``. Nothing after that point
+changes what was accepted before it, so the matches at threshold ``t``
+are the rows of one full scan with ``sim >= t``: BSL sweeps its
+thresholds as cuts of one scan. Used by BSL, SiGMa-lite and PARIS-lite.
 
 The greedy scan is inherently sequential, so it runs on the driver over
 Spark-computed scores (DESIGN.md section 5); candidate scoring — the
@@ -15,16 +18,16 @@ import numpy as np
 import pandas as pd
 
 
-def unique_mapping_clustering(scored: pd.DataFrame, threshold: float) -> pd.DataFrame:
+def unique_mapping_clustering(scored: pd.DataFrame) -> pd.DataFrame:
     """Greedy 1-1 matching over ``(eid1, eid2, sim)`` rows.
 
-    Returns the accepted pairs as a DataFrame with the same columns.
-    Ties break on (eid1, eid2) ascending for determinism.
+    Returns the accepted pairs as a DataFrame with the same columns, in
+    scan order (decreasing ``sim``). Ties break on (eid1, eid2) ascending
+    for determinism.
     """
     if scored.empty:
         return scored.head(0)
-    s = scored[scored["sim"] >= threshold]
-    s = s.sort_values(
+    s = scored.sort_values(
         ["sim", "eid1", "eid2"], ascending=[False, True, True], kind="mergesort"
     )
     taken1: set[int] = set()

@@ -44,7 +44,6 @@ from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
 from .blocking import Blocking, beta_scores  # noqa: F401  (beta_scores is importable from here)
-from .config import MinoanerConfig
 from .names import alpha_edges
 from .parallel import concurrently
 from .relations import relation_importance, top_in_neighbors, top_n_neighbors
@@ -132,18 +131,15 @@ def _top_k_leaves(scores: DataFrame, weight_col: str, k: int) -> list[DataFrame]
     )
 
 
-def build_graph(
-    triples1: DataFrame,
-    triples2: DataFrame,
-    blocking: Blocking,
-    cfg: MinoanerConfig,
-) -> BlockingGraph:
+def build_graph(blocking: Blocking) -> BlockingGraph:
     """Run Algorithm 1 over ``blocking``, the KB pair's composite blocking
-    (the triples give the relations), in the two levels of the module
-    docstring: alpha ‖ ``beta_out1 ‖ beta_out2`` ‖ top in-neighbours, then
-    gamma and ``gamma_out1 ‖ gamma_out2`` (``‖``: jobs submitted together).
+    (its triples give the relations, its config K and N), in the two levels
+    of the module docstring: alpha ‖ ``beta_out1 ‖ beta_out2`` ‖ top
+    in-neighbours, then gamma and ``gamma_out1 ‖ gamma_out2`` (``‖``: jobs
+    submitted together).
     """
-    session = triples1.sparkSession
+    cfg = blocking.cfg
+    session = blocking.triples1.sparkSession
     cached: list[DataFrame] = []  # appended to from the branch threads; append is atomic
 
     def keep(df: DataFrame) -> DataFrame:
@@ -154,7 +150,7 @@ def build_graph(
     def neighbours():
         topin1, topin2 = (
             keep(top_in_neighbors(top_n_neighbors(t, cfg.N, relation_importance(t, n))))
-            for t, n in ((triples1, blocking.n1), (triples2, blocking.n2))
+            for t, n in ((blocking.triples1, blocking.n1), (blocking.triples2, blocking.n2))
         )
         concurrently(session, topin1.count, topin2.count)
         return topin1, topin2

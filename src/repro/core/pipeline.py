@@ -39,7 +39,7 @@ def run_minoaner(
     with R1-R4, and score against gt."""
     blocking = composite_blocking(triples1, triples2, cfg)
     try:
-        graph = build_graph(triples1, triples2, blocking, cfg)
+        graph = build_graph(blocking)
     finally:
         blocking.unpersist()
     matches = match_graph(graph, cfg.theta).cache()

@@ -5,30 +5,36 @@
 any literal value of an entity (schema-agnostic: the attribute is
 ignored), de-duplicated per entity (set semantics: a token either is or
 is not in ``tokens(e)``).
+
+``value_tokens`` is the one place a literal value becomes tokens: the
+distinct tokens of ``literal_tokens``, Table 1's token occurrences and
+BSL's word n-grams are all built from it.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 TOKEN_SPLIT = r"[^a-z0-9]+"
+
+
+def value_tokens(val: Column) -> Column:
+    """The word tokens of each literal value, in order, repeats kept: the
+    value lowercased and split on any run of non-alphanumeric characters,
+    empty strings dropped (NULL for a NULL value)."""
+    return F.array_remove(F.split(F.lower(val), TOKEN_SPLIT), "")
 
 
 def literal_tokens(triples: DataFrame) -> DataFrame:
     """``(eid, token)`` — distinct lowercase word tokens per entity.
 
     Only literal triples contribute (``val`` non-NULL); relation triples
-    carry no text. Values are lowercased and split on any run of
-    non-alphanumeric characters, mirroring the paper's bag-of-words view
-    of a description.
+    carry no text. Each value gives its ``value_tokens``, mirroring the
+    paper's bag-of-words view of a description.
     """
     return (
         triples.filter(F.col("val").isNotNull())
-        .select(
-            "eid",
-            F.explode(F.split(F.lower(F.col("val")), TOKEN_SPLIT)).alias("token"),
-        )
-        .filter(F.col("token") != "")
+        .select("eid", F.explode(value_tokens(F.col("val"))).alias("token"))
         .distinct()
     )
 

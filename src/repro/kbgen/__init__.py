@@ -11,7 +11,6 @@ from .profiles import (
     scaled,
     test_scale,
 )
-from .stats import dataset_stats, kb_stats
 
 __all__ = [
     "KBPair",
@@ -27,6 +26,4 @@ __all__ = [
     "MICRO",
     "scaled",
     "test_scale",
-    "dataset_stats",
-    "kb_stats",
 ]

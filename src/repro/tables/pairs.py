@@ -38,9 +38,7 @@ class ProfileRun:
 
     @cached_property
     def graph(self) -> BlockingGraph:
-        return build_graph(
-            self.pair.triples1, self.pair.triples2, self.blocking, DEFAULT_CONFIG
-        )
+        return build_graph(self.blocking)
 
     @cached_property
     def matches(self) -> DataFrame:

@@ -47,9 +47,7 @@ def micro_blocking(micro_pair):
 
 @pytest.fixture(scope="session")
 def micro_graph(micro_pair, micro_blocking):
-    return build_graph(
-        micro_pair.triples1, micro_pair.triples2, micro_blocking, DEFAULT_CONFIG
-    )
+    return build_graph(micro_blocking)
 
 
 @pytest.fixture(scope="session")

@@ -15,15 +15,18 @@ import pandas as pd
 TOKEN_RE = re.compile(r"[^a-z0-9]+")
 
 
-def tokens_of(pdf: pd.DataFrame) -> dict[int, set[str]]:
-    """eid -> set of lowercase word tokens over literal values."""
-    out: dict[int, set[str]] = defaultdict(set)
+def token_counts(pdf: pd.DataFrame) -> dict[int, Counter]:
+    """eid -> occurrences of each lowercase word token over literal values."""
+    out: dict[int, Counter] = defaultdict(Counter)
     lits = pdf[pdf.val.notna()]
     for e, v in zip(lits.eid.astype(int), lits.val):
-        for t in TOKEN_RE.split(str(v).lower()):
-            if t:
-                out[e].add(t)
-    return dict(out)
+        out[e].update(t for t in TOKEN_RE.split(str(v).lower()) if t)
+    return {e: c for e, c in out.items() if c}
+
+
+def tokens_of(pdf: pd.DataFrame) -> dict[int, set[str]]:
+    """eid -> set of lowercase word tokens over literal values."""
+    return {e: set(c) for e, c in token_counts(pdf).items()}
 
 
 def names_of(pdf: pd.DataFrame, attrs: list[str]) -> dict[int, set[str]]:
@@ -71,6 +74,54 @@ def attribute_importance(pdf: pd.DataFrame) -> pd.DataFrame:
     return pd.DataFrame(
         rows, columns=["attr", "support", "discriminability", "importance"]
     )
+
+
+def name_attrs(pdf: pd.DataFrame, k: int) -> list[str]:
+    """The k most important literal attributes, ties on attribute name."""
+    imp = attribute_importance(pdf).sort_values(
+        ["importance", "attr"], ascending=[False, True]
+    )
+    return list(imp.attr[:k])
+
+
+def alpha_pairs(pdf1: pd.DataFrame, pdf2: pd.DataFrame, k: int) -> set[tuple[int, int]]:
+    """Pairs alone in a name block: each the only entity of its KB with a
+    name (a value of its top-k attributes) that the other carries."""
+    blocks: dict[str, tuple[set[int], set[int]]] = defaultdict(lambda: (set(), set()))
+    for side, pdf in enumerate((pdf1, pdf2)):
+        for e, names in names_of(pdf, name_attrs(pdf, k)).items():
+            for name in names:
+                blocks[name][side].add(e)
+    return {
+        (min(a), min(b)) for a, b in blocks.values() if len(a) == 1 and len(b) == 1
+    }
+
+
+def unique_mapping(
+    rows: list[tuple[int, int, float]], threshold: float
+) -> set[tuple[int, int]]:
+    """Unique Mapping Clustering as the paper states it: pop pairs in
+    decreasing similarity (ties on ids ascending), stop at the first below
+    ``threshold``, accept a pair iff neither entity is matched yet."""
+    taken1: set[int] = set()
+    taken2: set[int] = set()
+    out: set[tuple[int, int]] = set()
+    for a, b, s in sorted(rows, key=lambda r: (-r[2], r[0], r[1])):
+        if s < threshold:
+            break
+        if a not in taken1 and b not in taken2:
+            out.add((a, b))
+            taken1.add(a)
+            taken2.add(b)
+    return out
+
+
+def prf(matches: set[tuple[int, int]], gt: set[tuple[int, int]]) -> tuple[float, float, float]:
+    """Pair-level precision, recall and F1 in percent (0 for an empty side)."""
+    hit = len(matches & gt)
+    p = 100.0 * hit / len(matches) if matches else 0.0
+    r = 100.0 * hit / len(gt) if gt else 0.0
+    return p, r, (2 * p * r / (p + r) if p + r else 0.0)
 
 
 def relation_importance(pdf: pd.DataFrame) -> pd.DataFrame:

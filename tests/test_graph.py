@@ -256,12 +256,10 @@ class TestConcurrentBuild:
     """``build_graph`` submits Alg. 1's independent jobs from driver threads,
     all of them reading the KB pair's one ``Blocking``."""
 
-    def test_leaves_only_its_checkpoints(self, spark, micro_pair, micro_blocking):
+    def test_leaves_only_its_checkpoints(self, spark, micro_blocking):
         micro_blocking.beta.count()  # the blocking's caches exist before the build
         before = persistent_rdds(spark)
-        g = build_graph(
-            micro_pair.triples1, micro_pair.triples2, micro_blocking, DEFAULT_CONFIG
-        )
+        g = build_graph(micro_blocking)
         leaves = {_leaf_rdd(getattr(g, f)) for f in EDGE_FRAMES}
         assert persistent_rdds(spark) - before <= leaves
 
@@ -286,23 +284,19 @@ class TestConcurrentBuild:
         blocking = composite_blocking(t1, t2, DEFAULT_CONFIG)
         try:
             with pytest.raises(RuntimeError, match=f"{stage} failed"):
-                build_graph(t1, t2, blocking, DEFAULT_CONFIG)
+                build_graph(blocking)
         finally:
             blocking.unpersist()
         assert cached_rdds(spark) <= before
 
-    def test_concurrent_builds_match_a_serial_build(
-        self, micro_pair, micro_blocking, micro_graph
-    ):
+    def test_concurrent_builds_match_a_serial_build(self, micro_blocking, micro_graph):
         want = _edge_rows(micro_graph)
         results: dict[int, dict] = {}
         errors: list[BaseException] = []
 
         def build(i: int) -> None:
             try:
-                g = build_graph(
-                    micro_pair.triples1, micro_pair.triples2, micro_blocking, DEFAULT_CONFIG
-                )
+                g = build_graph(micro_blocking)
                 results[i] = _edge_rows(g)
             except BaseException as exc:  # reported by the main thread
                 errors.append(exc)

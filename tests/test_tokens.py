@@ -8,8 +8,10 @@ from pyspark.sql import functions as F
 
 from tests import reference
 from tests.kbutil import kb
+from repro.baselines.bsl import entity_grams
 from repro.core.tokens import entity_frequency, literal_tokens, pair_token_weights
 from repro.oracle import assert_equivalent
+from repro.tables.table1 import kb_stats
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +72,22 @@ class TestLiteralTokens:
             for t in ts
         }
         assert got == ref
+
+
+class TestValueTokens:
+    def test_readers_agree_with_reference(self, micro_pair):
+        """``literal_tokens``, Table 1's token occurrences and BSL's unigrams
+        all tokenize through ``value_tokens``; each agrees with the reference
+        tokenizer on micro."""
+        t, pdf = micro_pair.triples1, micro_pair.pdf1
+        counts = reference.token_counts(pdf)
+        got = {(r.eid, r.token) for r in literal_tokens(t).collect()}
+        assert got == {(e, tok) for e, c in counts.items() for tok in c}
+        n = pdf.eid.nunique()
+        occurrences = sum(sum(c.values()) for c in counts.values())
+        assert kb_stats(t, n)["avg_tokens"] == round(occurrences / n, 2)
+        unigrams = {(r.eid, r.gram): r.tf for r in entity_grams(t, 1).collect()}
+        assert unigrams == {(e, tok): k for e, c in counts.items() for tok, k in c.items()}
 
 
 class TestEntityFrequency:
