@@ -28,6 +28,14 @@ class TestUMC:
         assert len(out) == 1
         assert tuple(out.iloc[0][["eid1", "eid2"]]) == (1, 10)
 
+    def test_threshold_cuts(self):
+        out = unique_mapping_clustering(scored([(1, 10, 0.9), (2, 11, 0.3)]))
+        assert len(out[out.sim >= 0.5]) == 1
+
+    def test_threshold_inclusive(self):
+        out = unique_mapping_clustering(scored([(1, 10, 0.5)]))
+        assert len(out[out.sim >= 0.5]) == 1
+
     def test_threshold_cut_is_greedy_over_rows_above_it(self):
         """The paper stops the scan at the first score below ``t``; one full
         scan cut at ``sim >= t`` accepts the same pairs, ties included."""
