@@ -1,5 +1,5 @@
 """Baselines the paper compares against: BSL, SiGMa-lite, PARIS-lite, UMC."""
-from .bsl import BSLResult, entity_grams, pair_similarities, run_bsl, weighted_grams
+from .bsl import BSLResult, entity_grams, pair_similarities, run_bsl, score_pairs, weighted_grams
 from .paris import run_paris
 from .sigma import run_sigma
 from .umc import unique_mapping_clustering
@@ -9,6 +9,7 @@ __all__ = [
     "run_bsl",
     "entity_grams",
     "pair_similarities",
+    "score_pairs",
     "weighted_grams",
     "run_paris",
     "run_sigma",

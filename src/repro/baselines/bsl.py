@@ -3,10 +3,9 @@
 BSL receives the *unpruned* disjunctive blocking graph as ``pairs``: every
 pair co-occurring in a purged token block or a name block, i.e.
 ``core.blocking.Blocking.candidate_pairs()``. The caller builds, caches
-and releases it; the Table 3 harness shares one with SiGMa-lite. BSL
-scores each pair with a configurable string-similarity pipeline, and
-resolves with Unique Mapping Clustering. The grid mirrors the paper's
-420 configs:
+and releases it. BSL scores each pair with a configurable string-similarity
+pipeline, and resolves with Unique Mapping Clustering. The grid mirrors
+the paper's 420 configs:
 
 * token n-grams, n in {1, 2, 3};
 * TF or TF-IDF weights;
@@ -15,9 +14,10 @@ resolves with Unique Mapping Clustering. The grid mirrors the paper's
 * UMC thresholds in [0, 1) with step 0.05.
 
 The best F1 over the grid is reported, i.e. BSL is fine-tuned on the
-ground truth exactly as the paper describes. Scoring runs in Spark; UMC
+ground truth exactly as the paper describes. Scoring runs in Spark, one
+pass per n giving both weightings and every measure (``score_pairs``); UMC
 and the threshold sweep run on the driver over the collected scores: one
-UMC scan per measure, cut at each threshold (``umc`` says why).
+UMC scan per score column, cut at each threshold (``umc`` says why).
 """
 from __future__ import annotations
 
@@ -66,20 +66,13 @@ def entity_grams(triples: DataFrame, n: int) -> DataFrame:
     return grams.groupBy("eid", "gram").agg(F.count("*").alias("tf"))
 
 
-def weighted_grams(
-    g1: DataFrame, g2: DataFrame, weighting: str
-) -> tuple[DataFrame, DataFrame]:
-    """Attach ``w`` to each (eid, gram): TF, or TF-IDF over both KBs.
+def weighted_grams(g1: DataFrame, g2: DataFrame) -> tuple[DataFrame, DataFrame]:
+    """Attach both weights to each (eid, gram): ``tf`` (as a double) and
+    ``tfidf = tf * idf``.
 
     IDF uses the combined corpus (every entity of either KB is a
     document): ``idf = ln(N / df)``.
     """
-    if weighting == "tf":
-        return g1.withColumn("w", F.col("tf").cast("double")), g2.withColumn(
-            "w", F.col("tf").cast("double")
-        )
-    if weighting != "tfidf":
-        raise ValueError(f"unknown weighting {weighting!r}")
     n_docs = (
         g1.select("eid").distinct().count() + g2.select("eid").distinct().count()
     )
@@ -93,67 +86,77 @@ def weighted_grams(
     )
 
     def attach(g: DataFrame) -> DataFrame:
-        return g.join(df, "gram").withColumn("w", F.col("tf") * F.col("idf"))
+        w = g.join(df, "gram").withColumn("tfidf", F.col("tf") * F.col("idf"))
+        return w.select("eid", "gram", F.col("tf").cast("double").alias("tf"), "tfidf")
 
     return attach(g1), attach(g2)
 
 
-def pair_similarities(
-    pairs: DataFrame, g1: DataFrame, g2: DataFrame
-) -> DataFrame:
-    """All four similarity measures for every candidate pair, in one pass.
+def pair_similarities(pairs: DataFrame, w1: DataFrame, w2: DataFrame) -> DataFrame:
+    """Every measure under both weights for every candidate pair: one join.
 
     Per-pair common-gram statistics (dot product, sum of minima, counts)
-    combine with per-entity norms to give:
+    combine with per-entity sums, norms and gram counts to give, for each
+    weight ``w`` in ``WEIGHTINGS``:
 
-    * cosine     = dot / (||A|| * ||B||)
-    * jaccard    = |common| / (|A| + |B| - |common|)
-    * genjaccard = sum_min / (sum_A + sum_B - sum_min)
-    * sigma      = sum_common (wA + wB) / (sum_A + sum_B)  [21]
+    * ``{w}_cosine``     = dot / (||A|| * ||B||)
+    * ``{w}_genjaccard`` = sum_min / (sum_A + sum_B - sum_min)
+    * ``tfidf_sigma``    = sum_common (wA + wB) / (sum_A + sum_B)  [21]
+    * ``jaccard``        = |common| / (|A| + |B| - |common|), which reads
+      only gram counts and so is the same under either weight.
     """
-    a1 = g1.groupBy("eid").agg(
-        F.sum("w").alias("sum1"),
-        F.sum(F.col("w") * F.col("w")).alias("sq1"),
-        F.count("*").alias("n1"),
-    )
-    a2 = g2.groupBy("eid").agg(
-        F.sum("w").alias("sum2"),
-        F.sum(F.col("w") * F.col("w")).alias("sq2"),
-        F.count("*").alias("n2"),
-    )
+
+    def per_entity(w: DataFrame, i: int) -> DataFrame:
+        return w.groupBy(F.col("eid").alias(f"eid{i}")).agg(
+            *(F.sum(x).alias(f"{x}_sum{i}") for x in WEIGHTINGS),
+            *(F.sum(F.col(x) * F.col(x)).alias(f"{x}_sq{i}") for x in WEIGHTINGS),
+            F.count("*").alias(f"n{i}"),
+        )
+
+    def grams(w: DataFrame, i: int) -> DataFrame:
+        weights = (F.col(x).alias(f"{x}{i}") for x in WEIGHTINGS)
+        return w.select(F.col("eid").alias(f"eid{i}"), "gram", *weights)
+
     common = (
-        pairs.join(
-            g1.select(F.col("eid").alias("eid1"), "gram", F.col("w").alias("w1")),
-            "eid1",
-        )
-        .join(
-            g2.select(F.col("eid").alias("eid2"), "gram", F.col("w").alias("w2")),
-            ["eid2", "gram"],
-        )
+        pairs.join(grams(w1, 1), "eid1")
+        .join(grams(w2, 2), ["eid2", "gram"])
         .groupBy("eid1", "eid2")
         .agg(
-            F.sum(F.col("w1") * F.col("w2")).alias("dot"),
-            F.sum(F.least("w1", "w2")).alias("cmin"),
-            F.sum(F.col("w1") + F.col("w2")).alias("csum"),
+            *(F.sum(F.col(f"{x}1") * F.col(f"{x}2")).alias(f"{x}_dot") for x in WEIGHTINGS),
+            *(F.sum(F.least(f"{x}1", f"{x}2")).alias(f"{x}_min") for x in WEIGHTINGS),
+            F.sum(F.col("tfidf1") + F.col("tfidf2")).alias("tfidf_csum"),
             F.count("*").alias("c"),
         )
     )
+    sims = []
+    for x in WEIGHTINGS:
+        dot, cmin, sum1, sum2 = (F.col(f"{x}_{a}") for a in ("dot", "min", "sum1", "sum2"))
+        sims.append((dot / (F.sqrt(f"{x}_sq1") * F.sqrt(f"{x}_sq2"))).alias(f"{x}_cosine"))
+        sims.append((cmin / (sum1 + sum2 - cmin)).alias(f"{x}_genjaccard"))
+    sigma = F.col("tfidf_csum") / (F.col("tfidf_sum1") + F.col("tfidf_sum2"))
+    sims.append(sigma.alias("tfidf_sigma"))
+    sims.append((F.col("c") / (F.col("n1") + F.col("n2") - F.col("c"))).alias("jaccard"))
     return (
-        common.join(a1.withColumnRenamed("eid", "eid1"), "eid1")
-        .join(a2.withColumnRenamed("eid", "eid2"), "eid2")
-        .select(
-            "eid1",
-            "eid2",
-            (F.col("dot") / (F.sqrt("sq1") * F.sqrt("sq2"))).alias("cosine"),
-            (F.col("c") / (F.col("n1") + F.col("n2") - F.col("c"))).alias(
-                "jaccard"
-            ),
-            (
-                F.col("cmin") / (F.col("sum1") + F.col("sum2") - F.col("cmin"))
-            ).alias("genjaccard"),
-            (F.col("csum") / (F.col("sum1") + F.col("sum2"))).alias("sigma"),
-        )
+        common.join(per_entity(w1, 1), "eid1")
+        .join(per_entity(w2, 2), "eid2")
+        .select("eid1", "eid2", *sims)
     )
+
+
+def score_pairs(
+    triples1: DataFrame, triples2: DataFrame, pairs: DataFrame
+) -> dict[int, pd.DataFrame]:
+    """``{n: scores}`` for each n in ``NS``: every score column of
+    ``pair_similarities`` for the candidate ``pairs``, collected.
+
+    One Spark pass per n gives every weighting and measure; ``pairs`` is
+    read once per pass, so the caller should cache it.
+    """
+    out = {}
+    for n in NS:
+        w1, w2 = weighted_grams(entity_grams(triples1, n), entity_grams(triples2, n))
+        out[n] = pair_similarities(pairs, w1, w2).toPandas()
+    return out
 
 
 @dataclass
@@ -168,38 +171,31 @@ class BSLResult:
     grid: pd.DataFrame  # one row per (n, weighting, measure, threshold)
 
 
-def run_bsl(
-    triples1: DataFrame,
-    triples2: DataFrame,
-    pairs: DataFrame,
-    gt_pdf: pd.DataFrame,
-) -> BSLResult:
+def run_bsl(scores: dict[int, pd.DataFrame], gt_pdf: pd.DataFrame) -> BSLResult:
     """Grid-search BSL over the paper's 420 configurations and return the
     best-F1 one.
 
-    ``pairs`` is the unpruned disjunctive blocking graph ``(eid1, eid2)``;
-    it is scored once per (n, weighting), so the caller should cache it.
-    ``gt_pdf`` is the pandas ground truth (the sweep runs driver-side).
+    ``scores`` is ``score_pairs``' output and ``gt_pdf`` the pandas ground
+    truth; the sweep runs on the driver. Each distinct score column is
+    scanned by UMC once (18 scans: the TF and TF-IDF Jaccard configurations
+    of one n read the same column) and the scan is cut at each threshold.
     """
+    cuts: dict[tuple[int, str], list[PRF]] = {}
     configs: list[tuple[int, str, str, float]] = []
     prfs: list[PRF] = []
-    for n, weighting in product(NS, WEIGHTINGS):
-        g1 = entity_grams(triples1, n)
-        g2 = entity_grams(triples2, n)
-        w1, w2 = weighted_grams(g1, g2, weighting)
-        sims = pair_similarities(pairs, w1, w2).toPandas()
-        for measure in MEASURES:
-            if measure == "sigma" and weighting != "tfidf":
-                continue  # SiGMa measure applies to TF-IDF only [21]
-            scored = sims[["eid1", "eid2", measure]].rename(
-                columns={measure: "sim"}
-            )
+    for n, weighting, measure in product(NS, WEIGHTINGS, MEASURES):
+        if measure == "sigma" and weighting != "tfidf":
+            continue  # SiGMa measure applies to TF-IDF only [21]
+        column = "jaccard" if measure == "jaccard" else f"{weighting}_{measure}"
+        if (n, column) not in cuts:
+            scored = scores[n][["eid1", "eid2", column]].rename(columns={column: "sim"})
             accepted = unique_mapping_clustering(scored[scored.sim > 0])
-            for t in THRESHOLDS:
-                configs.append((n, weighting, measure, round(float(t), 2)))
-                prfs.append(
-                    evaluate_pandas(accepted[accepted.sim >= float(t)], gt_pdf)
-                )
+            cuts[n, column] = [
+                evaluate_pandas(accepted[accepted.sim >= float(t)], gt_pdf)
+                for t in THRESHOLDS
+            ]
+        configs.extend((n, weighting, measure, round(float(t), 2)) for t in THRESHOLDS)
+        prfs.extend(cuts[n, column])
     grid = pd.DataFrame(
         [(*c, p.precision, p.recall, p.f1) for c, p in zip(configs, prfs)],
         columns=["n", "weighting", "measure", "threshold", "precision", "recall", "f1"],

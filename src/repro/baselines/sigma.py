@@ -11,8 +11,9 @@ Faithful-in-spirit simplifications (DESIGN.md section 4): relations are
 treated as an unlabeled neighborhood (the original assumes pre-aligned
 relations, which our high-Variety profiles deliberately lack), and the
 value similarity is the SiGMa weighted-overlap measure over unigram
-TF-IDF computed by the shared BSL machinery. Runs on the driver over
-Spark-collected scores — the original tool is sequential as well.
+TF-IDF, read from BSL's scores (``bsl.score_pairs``, n=1, ``tfidf_sigma``).
+Runs on the driver over those collected scores and the two KBs' name
+seeds, the only Spark work here — the original tool is sequential as well.
 """
 from __future__ import annotations
 
@@ -24,14 +25,13 @@ from pyspark.sql import DataFrame
 
 from ..core.evaluation import ScoredMatches, evaluate_pandas
 from ..core.names import entity_names
-from .bsl import entity_grams, pair_similarities, weighted_grams
 
 NEIGHBOR_WEIGHT = 0.4
 """Weight of the matched-neighbour fraction in a pair's score (value: 1 - this)."""
 THRESHOLD = 0.3
 """The greedy loop accepts no pair scoring below this."""
 MAX_CANDS_PER_ENTITY = 20
-"""Value-scored candidates kept per KB1 entity, best first."""
+"""Value-scored candidates kept per KB1 entity, best first (ties: lowest eid2)."""
 
 
 def _neighbors(pdf: pd.DataFrame) -> dict[int, set[int]]:
@@ -46,7 +46,7 @@ def _neighbors(pdf: pd.DataFrame) -> dict[int, set[int]]:
 def run_sigma(
     triples1: DataFrame,
     triples2: DataFrame,
-    pairs: DataFrame,
+    scores: pd.DataFrame,
     name_attrs: list[list[str]],
     pdf1: pd.DataFrame,
     pdf2: pd.DataFrame,
@@ -54,18 +54,16 @@ def run_sigma(
 ) -> ScoredMatches:
     """Run the greedy propagation loop and score against the ground truth.
 
-    ``pairs`` is the unpruned disjunctive blocking graph ``(eid1, eid2)``,
-    as for BSL; only these pairs get a value score. ``name_attrs`` are both
-    KBs' name attributes, best first (``Blocking.name_attrs``); the name
-    seeds come from each KB's first one.
+    ``scores`` are BSL's unigram scores of the unpruned disjunctive
+    blocking graph (``bsl.score_pairs(...)[1]``); only these pairs get a
+    value score, their ``tfidf_sigma``. ``name_attrs`` are both KBs' name
+    attributes, best first (``Blocking.name_attrs``); the name seeds come
+    from each KB's first one.
     """
-    # --- Spark side: value scores and name seeds ---------------------------
-    g1 = entity_grams(triples1, 1)
-    g2 = entity_grams(triples2, 1)
-    w1, w2 = weighted_grams(g1, g2, "tfidf")
-    sims = pair_similarities(pairs, w1, w2).select("eid1", "eid2", "sigma").toPandas()
+    # --- candidate cut, then the name seeds (Spark) ------------------------
     sims = (
-        sims.sort_values("sigma", ascending=False)
+        scores[["eid1", "eid2", "tfidf_sigma"]]
+        .sort_values(["tfidf_sigma", "eid2"], ascending=[False, True], kind="mergesort")
         .groupby("eid1")
         .head(MAX_CANDS_PER_ENTITY)
     )
@@ -83,7 +81,7 @@ def run_sigma(
     # --- driver side: greedy queue with neighbor re-scoring ----------------
     valsim = {
         (int(a), int(b)): float(s)
-        for a, b, s in zip(sims.eid1, sims.eid2, sims.sigma)
+        for a, b, s in zip(sims.eid1, sims.eid2, sims.tfidf_sigma)
     }
     nbr1 = _neighbors(pdf1)
     nbr2 = _neighbors(pdf2)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
 from repro.core import DEFAULT_CONFIG
 from repro.core.graph import BlockingGraph
@@ -268,6 +269,14 @@ class TestMatchGraph:
         r1 = rule1(micro_graph)
         r12 = r1.unionByName(rule2(micro_graph, r1.select("eid1", "eid2")))
         assert ruled(variants["no_neighbors"]) == ruled(rule4(r12, micro_graph))
+
+    def test_r4_keeps_every_r1_and_r3_match(self, micro_graph, variants):
+        """Why R4 removes nothing here (DESIGN section 5): alpha edges point
+        both ways, and an R3 pick is mutual and needs both lists on each
+        side, so only an R2 match can lack an edge from one side."""
+        r13 = variants["no_R4"].filter(F.col("rule") != "R2")
+        assert {rule for _, _, rule in ruled(r13)} == {"R1", "R3"}
+        assert ruled(rule4(r13, micro_graph)) == ruled(r13)
 
     def test_full_flow_on_micro(self, micro_result, micro_pair):
         prf = micro_result.prf

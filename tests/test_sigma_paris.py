@@ -1,9 +1,13 @@
 """Tests for the SiGMa-lite and PARIS-lite baselines."""
 from __future__ import annotations
 
+import pandas as pd
 import pytest
 
+from tests.kbutil import kb
+from repro.baselines.bsl import entity_grams, pair_similarities, weighted_grams
 from repro.baselines.paris import run_paris
+from repro.baselines import sigma
 from repro.baselines.sigma import run_sigma
 from repro.core import DEFAULT_CONFIG
 from repro.core.blocking import composite_blocking
@@ -26,7 +30,10 @@ class TestSigmaLite:
         t1, t2 = p.triples1, p.triples2
         b = composite_blocking(t1, t2, DEFAULT_CONFIG)
         try:
-            return run_sigma(t1, t2, b.candidate_pairs(), b.name_attrs, p.pdf1, p.pdf2, p.gt_pdf)
+            # BSL's unigram scores, as Table 3 hands them over
+            w1, w2 = weighted_grams(entity_grams(t1, 1), entity_grams(t2, 1))
+            scores = pair_similarities(b.candidate_pairs(), w1, w2).toPandas()
+            return run_sigma(t1, t2, scores, b.name_attrs, p.pdf1, p.pdf2, p.gt_pdf)
         finally:
             b.unpersist()
 
@@ -43,6 +50,26 @@ class TestSigmaLite:
         hit = len(result.matches.merge(rest_small.gt_pdf, on=["eid1", "eid2"]))
         assert result.prf.n_correct == hit
         assert result.prf.recall == pytest.approx(100.0 * hit / len(rest_small.gt_pdf))
+
+    def test_tied_candidate_cut_ignores_row_order(self, spark):
+        """Two KB1 entities each tie with 25 KB2 candidates, more than the
+        cut keeps: the survivors, and so the matches, are the lowest eid2s
+        whatever order the score rows arrive in."""
+        cands = range(11, 11 + sigma.MAX_CANDS_PER_ENTITY + 5)
+        t1 = kb(spark, [(e, "a:name", f"left {e}", None) for e in (1, 2)])
+        t2 = kb(spark, [(e, "b:name", f"right {e}", None) for e in cands])
+        pdf1, pdf2 = t1.toPandas(), t2.toPandas()
+        scores = pd.DataFrame(
+            [(a, b, 0.9) for a in (1, 2) for b in cands],
+            columns=["eid1", "eid2", "tfidf_sigma"],
+        )
+        gt = pd.DataFrame({"eid1": [1, 2], "eid2": [11, 12]})
+        got = set()
+        for seed in range(4):
+            shuffled = scores.sample(frac=1.0, random_state=seed).reset_index(drop=True)
+            res = run_sigma(t1, t2, shuffled, [["a:name"], ["b:name"]], pdf1, pdf2, gt)
+            got.add(frozenset(map(tuple, res.matches[["eid1", "eid2"]].values.tolist())))
+        assert got == {frozenset({(1, 11), (2, 12)})}
 
 
 class TestParisLite:

@@ -10,7 +10,7 @@ import pytest
 from tests.kbutil import cached_rdds, persistent_rdds
 from tests.test_claims import paper_rows
 from repro import jobs
-from repro.baselines import paris, sigma
+from repro.baselines import bsl, paris, sigma
 from repro.tables import claims, format_rows, pairs, paper_numbers, table1, table2, table3, table4
 from repro.tables.pairs import ProfileRun, run_tables
 
@@ -212,15 +212,22 @@ class TestOnePass:
         assert [minoaner[k] for k in prf] == [full[k] for k in prf]
 
     def test_failure_mid_pass_releases_the_run(self, spark, monkeypatch):
-        def failing_bsl(*args, **kwargs):
-            raise RuntimeError("BSL failed")
+        # the second of BSL's scoring passes fails, with the candidate pairs cached
+        real, calls = bsl.pair_similarities, []
 
-        monkeypatch.setattr(table3, "run_bsl", failing_bsl)
+        def failing_pass(pairs, w1, w2):
+            calls.append(pairs.storageLevel.useMemory)
+            if len(calls) == 2:
+                raise RuntimeError("BSL failed")
+            return real(pairs, w1, w2)
+
+        monkeypatch.setattr(bsl, "pair_similarities", failing_pass)
         before = cached_rdds(spark)
         with pytest.raises(RuntimeError, match="BSL failed"):
             run_tables(
                 spark, [table2.rows, table3.rows, table4.rows], PROFILE, pairs.SEED, SF
             )
+        assert calls == [True, True]
         assert cached_rdds(spark) <= before
 
     @pytest.fixture(scope="class")
