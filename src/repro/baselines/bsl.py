@@ -70,17 +70,16 @@ def weighted_grams(g1: DataFrame, g2: DataFrame) -> tuple[DataFrame, DataFrame]:
     """Attach both weights to each (eid, gram): ``tf`` (as a double) and
     ``tfidf = tf * idf``.
 
-    IDF uses the combined corpus (every entity of either KB is a
-    document): ``idf = ln(N / df)``.
+    IDF uses the combined corpus, where every entity of either KB is a
+    document even if the other KB uses its id: ``idf = ln(N / df)``.
     """
     n_docs = (
         g1.select("eid").distinct().count() + g2.select("eid").distinct().count()
     )
     df = (
-        g1.select("eid", "gram")
-        .union(g2.select("eid", "gram"))
+        g1.union(g2)
         .groupBy("gram")
-        .agg(F.countDistinct("eid").alias("df"))
+        .agg(F.count("*").alias("df"))
         .withColumn("idf", F.log(F.lit(float(n_docs)) / F.col("df")))
         .select("gram", "idf")
     )

@@ -75,6 +75,17 @@ class TestWeights:
         got = w1.filter(F.col("gram") == "rare").collect()[0]
         assert (got.tf, got.tfidf) == (1.0, pytest.approx(1.0 * math.log(4 / 2)))
 
+    def test_shared_ids_do_not_change_idf(self, spark):
+        """A KB2 entity with a KB1 entity's id is still its own document."""
+        k1 = kb(spark, [(1, "a:d", "rare", None), (2, "a:d", "x", None)])
+
+        def rare_weights(eid2: int) -> list[float]:
+            k2 = kb(spark, [(eid2, "b:d", "rare", None), (12, "b:d", "y", None)])
+            w1, w2 = weighted_grams(entity_grams(k1, 1), entity_grams(k2, 1))
+            return [w.filter(F.col("gram") == "rare").first().tfidf for w in (w1, w2)]
+
+        assert rare_weights(1) == rare_weights(11) == [pytest.approx(math.log(4 / 2))] * 2
+
 
 class TestPairSimilarities:
     """Entity 1 ``a b c`` against entity 11 ``b c d e``; one more entity per
