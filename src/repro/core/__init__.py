@@ -3,7 +3,7 @@ from .config import DEFAULT_CONFIG, MinoanerConfig
 from .evaluation import PRF, evaluate
 from .graph import BlockingGraph, build_graph
 from .matching import match_graph, rule1, rule2, rule3, rule4
-from .pipeline import MinoanerResult, run_minoaner
+from .pipeline import MinoanerRun, run_minoaner
 
 __all__ = [
     "DEFAULT_CONFIG",
@@ -17,6 +17,6 @@ __all__ = [
     "rule2",
     "rule3",
     "rule4",
-    "MinoanerResult",
+    "MinoanerRun",
     "run_minoaner",
 ]

@@ -9,8 +9,9 @@ token blocks and beta (cached).
 (``‖``: jobs submitted together, ``parallel.concurrently``); the rest is
 built when first read, the name attributes ``attrs1 ‖ attrs2``.
 ``block_stats`` blocks with the names it is given, counts Table 2 and
-releases in one call. Whoever builds a ``Blocking`` releases it
-(``unpersist()``).
+releases in one call. Otherwise a ``core.pipeline.MinoanerRun`` builds the
+pair's ``Blocking`` and releases it (``unpersist()``): ``run_minoaner``
+before Algorithm 2, a table pass after the tables.
 
 Token blocking creates one block per token shared by the two KBs; the
 block's comparison cardinality is ``EF1(t) * EF2(t)``. Block Purging

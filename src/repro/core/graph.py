@@ -10,8 +10,9 @@ per-evidence DataFrames:
   candidates per node, built by pushing every retained beta edge to the
   cross product of the endpoints' top *in*-neighbors (Alg. 1 l.21-27).
 
-Ranks are dense within each node's list (1 = best), with deterministic
-ties (weight desc, candidate id asc).
+Ranks are ``row_number`` within each node's list: consecutive from 1
+(1 = best), tied weights ordered by candidate id ascending, so no two
+candidates of a node share a rank.
 
 ``build_graph`` builds Algorithm 1 from the KB pair's one
 ``blocking.Blocking``, which holds |E|, the name attributes and names, and
@@ -54,8 +55,9 @@ def top_k_directed(
 ) -> DataFrame:
     """Keep each node's K best candidates by ``weight_col`` (rank added).
 
-    Rank 1 is the best candidate; ties break on candidate id ascending
-    so results are deterministic across runs and partitionings.
+    Ranks are ``row_number``, 1 (best), 2, ...; ties break on candidate id
+    ascending so results are deterministic across runs and partitionings.
+    Every candidate ranking of Algorithms 1 and 2 goes through here.
     """
     w = Window.partitionBy(node_col).orderBy(
         F.desc(weight_col), F.asc(cand_col)

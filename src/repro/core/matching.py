@@ -22,7 +22,7 @@ from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
 from .config import DEFAULT_CONFIG
-from .graph import BlockingGraph
+from .graph import BlockingGraph, top_k_directed
 
 _PAIR = ["eid1", "eid2"]
 
@@ -91,20 +91,21 @@ def rule3(
     impossible if every unmatched node emitted its one-sided top pick, as
     a literal reading of Alg. 2 would; MinoanER also states it employs
     Unique Mapping Clustering, which mutual top-picks implement
-    non-iteratively).
+    non-iteratively). A node's pick is its top-1 aggregate candidate by
+    ``graph.top_k_directed``, ties broken on candidate id.
     """
 
     def one_direction(beta_out: DataFrame, gamma_out: DataFrame, node: str) -> DataFrame:
-        b = _exclude_matched(beta_out, matched, node)
-        c = _exclude_matched(gamma_out, matched, node)
         scored = (
-            _rank_scores(b, node, theta)
-            .unionByName(_rank_scores(c, node, 1.0 - theta))
+            _rank_scores(beta_out, node, theta)
+            .unionByName(_rank_scores(gamma_out, node, 1.0 - theta))
             .groupBy(*_PAIR)
             .agg(F.sum("score").alias("agg"), F.count("*").alias("_lists"))
         )
+        # Exclusion drops a matched node's whole lists, so it may follow the
+        # aggregation: the other nodes' list sizes and sums are unchanged.
+        scored = _exclude_matched(scored, matched, node)
         other = "eid2" if node == "eid1" else "eid1"
-        w = Window.partitionBy(node).orderBy(F.desc("agg"), F.asc(other))
         # The winner must carry BOTH value and neighbor evidence
         # (_lists == 2): R3 exists to aggregate the two rankings — a
         # candidate present in only one list has an aggregate score
@@ -114,8 +115,8 @@ def rule3(
         # to either list alone was measured to collapse precision on
         # every profile (mutual gamma-clutter flukes).
         return (
-            scored.withColumn("_rk", F.row_number().over(w))
-            .filter((F.col("_rk") == 1) & (F.col("_lists") == 2))
+            top_k_directed(scored, node, other, "agg", 1)
+            .filter(F.col("_lists") == 2)
             .select(*_PAIR)
         )
 

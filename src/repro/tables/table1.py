@@ -46,8 +46,8 @@ def kb_stats(triples: DataFrame, n_entities: int) -> dict[str, float]:
 
 def rows(run: ProfileRun) -> list[dict]:
     """The profile's row, with |E1| and |E2| from the shared ``Blocking``."""
-    s1 = kb_stats(run.pair.triples1, run.blocking.n1)
-    s2 = kb_stats(run.pair.triples2, run.blocking.n2)
+    s1 = kb_stats(run.triples1, run.blocking.n1)
+    s2 = kb_stats(run.triples2, run.blocking.n2)
     return [
         {
             "dataset": run.name,
@@ -61,6 +61,6 @@ def rows(run: ProfileRun) -> list[dict]:
             "relations": f"{s1['relations']}/{s2['relations']}",
             "types": f"{s1['types']}/{s2['types']}",
             "vocabularies": f"{s1['vocabularies']}/{s2['vocabularies']}",
-            "matches": len(run.pair.gt_pdf),
+            "matches": len(run.gt_pdf),
         }
     ]

@@ -9,7 +9,7 @@ TITLE = "Table 2 — block statistics (ours)"
 def rows(run: ProfileRun) -> list[dict]:
     """The profile's row, from the shared ``Blocking`` (names from the top
     ``DEFAULT_CONFIG.k`` attributes); the graph is not built."""
-    s = run.blocking.stats(run.pair.gt)
+    s = run.blocking.stats(run.gt)
     return [
         {
             "dataset": run.name,

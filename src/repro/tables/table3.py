@@ -9,7 +9,6 @@ sweeps every score column and SiGMa-lite reads the unigram TF-IDF one.
 """
 from __future__ import annotations
 
-from ..core import DEFAULT_CONFIG
 from ..baselines import paris, run_bsl, run_paris, run_sigma, score_pairs, sigma
 from .pairs import ProfileRun
 
@@ -18,15 +17,14 @@ TITLE = "Table 3 — effectiveness vs baselines (ours)"
 
 def rows(run: ProfileRun) -> list[dict]:
     """The profile's four rows: MinoanER, BSL, SiGMa-lite, PARIS-lite."""
-    pair, blocking = run.pair, run.blocking
-    t1, t2 = pair.triples1, pair.triples2
+    blocking, cfg = run.blocking, run.cfg
+    t1, t2 = run.triples1, run.triples2
     out = [
         {
             "dataset": run.name,
             "method": "MinoanER",
             **run.prf.row(),
-            "config": f"(k,K,N,theta)=({DEFAULT_CONFIG.k},{DEFAULT_CONFIG.K},"
-            f"{DEFAULT_CONFIG.N},{DEFAULT_CONFIG.theta})",
+            "config": f"(k,K,N,theta)=({cfg.k},{cfg.K},{cfg.N},{cfg.theta})",
         }
     ]
 
@@ -37,9 +35,9 @@ def rows(run: ProfileRun) -> list[dict]:
         scores = score_pairs(t1, t2, pairs)
     finally:
         pairs.unpersist()
-    bsl = run_bsl(scores, pair.gt_pdf)
-    sg = run_sigma(t1, t2, scores[1], blocking.name_attrs, pair.pdf1, pair.pdf2, pair.gt_pdf)
-    pr = run_paris(pair.pdf1, pair.pdf2, pair.gt_pdf)
+    bsl = run_bsl(scores, run.gt_pdf)
+    sg = run_sigma(t1, t2, scores[1], blocking.name_attrs, run.pdf1, run.pdf2, run.gt_pdf)
+    pr = run_paris(run.pdf1, run.pdf2, run.gt_pdf)
     for method, res, config in (
         ("BSL", bsl, f"n={bsl.n},{bsl.weighting},{bsl.measure},t={bsl.threshold}"),
         ("SiGMa-lite", sg, f"seeds=names,lambda={sigma.NEIGHBOR_WEIGHT},t={sigma.THRESHOLD}"),

@@ -1,22 +1,14 @@
-"""Shared fixtures: fast shuffle config, generated KB pairs, built graphs.
+"""Shared fixtures: fast shuffle config, generated KB pairs, pipeline runs.
 
-Heavy artifacts (generated pairs, blocking graphs, pipeline results) are
-session-scoped so the many tests that inspect them pay the Spark cost
-once.
+Heavy artifacts (generated pairs, pipeline runs) are session-scoped so the
+many tests that inspect them pay the Spark cost once. The micro pair's
+blocking, graph and matches are the steps of one run (``micro_run``).
 """
 from __future__ import annotations
 
 import pytest
 
-from repro.core import (
-    DEFAULT_CONFIG,
-    MinoanerResult,
-    evaluate,
-    match_graph,
-    run_minoaner,
-)
-from repro.core.blocking import composite_blocking
-from repro.core.graph import build_graph
+from repro.core import DEFAULT_CONFIG, MinoanerRun
 from repro.kbgen import MICRO, PROFILES, generate_kb_pair
 from repro.kbgen.profiles import scaled
 
@@ -38,24 +30,22 @@ def micro_pair(spark, _fast_spark):
 
 
 @pytest.fixture(scope="session")
-def micro_blocking(micro_pair):
-    """The micro pair's composite blocking, released at the end of the session."""
-    b = composite_blocking(micro_pair.triples1, micro_pair.triples2, DEFAULT_CONFIG)
-    yield b
-    b.unpersist()
+def micro_run(micro_pair):
+    """The micro pair's one ``MinoanerRun``; each step is built when a test
+    first reads it, and what it cached is released at the end of the session."""
+    run = MinoanerRun(micro_pair.triples1, micro_pair.triples2, micro_pair.gt, DEFAULT_CONFIG)
+    yield run
+    run.release()
 
 
 @pytest.fixture(scope="session")
-def micro_graph(micro_pair, micro_blocking):
-    return build_graph(micro_blocking)
+def micro_blocking(micro_run):
+    return micro_run.blocking
 
 
 @pytest.fixture(scope="session")
-def micro_result(micro_pair, micro_graph):
-    """Algorithm 2 and ``evaluate`` over ``micro_graph``: ``run_minoaner``
-    without re-running Algorithm 1."""
-    matches = match_graph(micro_graph, DEFAULT_CONFIG.theta).cache()
-    return MinoanerResult(micro_graph, matches, evaluate(matches, micro_pair.gt))
+def micro_graph(micro_run):
+    return micro_run.graph
 
 
 @pytest.fixture(scope="session")
@@ -66,9 +56,3 @@ def restaurant_small_pair(spark, _fast_spark):
     pair.triples1.cache().count()
     pair.triples2.cache().count()
     return pair
-
-
-@pytest.fixture(scope="session")
-def restaurant_small_result(restaurant_small_pair):
-    p = restaurant_small_pair
-    return run_minoaner(p.triples1, p.triples2, p.gt, DEFAULT_CONFIG)

@@ -136,7 +136,7 @@ def test_run_minoaner(spark, case):
     try:
         got = {(r.eid1, r.eid2): r.rule for r in res.matches.collect()}
     finally:
-        res.matches.unpersist()
+        res.release()
     assert set(got) == expected
     assert set(got.values()) <= {"R1"}
     prf = res.prf

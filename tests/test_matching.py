@@ -244,12 +244,9 @@ class TestMatchGraph:
         assert rows[(2, 13)] == "R2"
 
     @pytest.fixture(scope="class")
-    def variants(self, micro_graph):
-        """Table 4's variant frames on micro, derived from one run before R4."""
-        theta = DEFAULT_CONFIG.theta
-        m = match_graph(micro_graph, theta, use_r4=False).cache()
-        yield {**ablations(micro_graph, m, theta), "full": rule4(m, micro_graph)}
-        m.unpersist()
+    def variants(self, micro_run):
+        """Table 4's variant frames on micro, derived from the run before R4."""
+        return {**ablations(micro_run), "full": micro_run.matches}
 
     @pytest.mark.parametrize(
         "variant", ["R1", "R2", "R3", "no_R4", "no_neighbors", "full"]
@@ -278,11 +275,11 @@ class TestMatchGraph:
         assert {rule for _, _, rule in ruled(r13)} == {"R1", "R3"}
         assert ruled(rule4(r13, micro_graph)) == ruled(r13)
 
-    def test_full_flow_on_micro(self, micro_result, micro_pair):
-        prf = micro_result.prf
+    def test_full_flow_on_micro(self, micro_run):
+        prf = micro_run.prf
         assert prf.recall >= 95.0
         assert prf.precision >= 85.0
 
-    def test_rules_cover_output(self, micro_result):
-        rules = {r.rule for r in micro_result.matches.select("rule").distinct().collect()}
+    def test_rules_cover_output(self, micro_run):
+        rules = {r.rule for r in micro_run.matches.select("rule").distinct().collect()}
         assert rules <= {"R1", "R2", "R3"}

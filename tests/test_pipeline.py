@@ -9,33 +9,57 @@ from __future__ import annotations
 
 import pytest
 
+from tests.kbutil import cached_rdds, persistent_rdds
+from tests.test_graph import EDGE_FRAMES, _leaf_rdd
 from repro.core import DEFAULT_CONFIG, MinoanerConfig, evaluate, run_minoaner
 from repro.core.matching import match_graph
 
 
-class TestEndToEnd:
-    def test_micro_effectiveness(self, micro_result):
-        assert micro_result.prf.recall >= 95.0
-        assert micro_result.prf.f1 >= 85.0
+def _resolve(pair, cfg: MinoanerConfig = DEFAULT_CONFIG):
+    """``run_minoaner`` on ``pair``; returns the run's P/R/F1 and releases it."""
+    res = run_minoaner(pair.triples1, pair.triples2, pair.gt, cfg)
+    res.release()
+    return res.prf
 
-    def test_restaurant_small_effectiveness(self, restaurant_small_result):
+
+class TestEndToEnd:
+    def test_micro_effectiveness(self, micro_run):
+        assert micro_run.prf.recall >= 95.0
+        assert micro_run.prf.f1 >= 85.0
+
+    def test_restaurant_small_effectiveness(self, restaurant_small_pair):
         # ~27 ground-truth pairs at this scale: each miss costs ~4 F1,
         # so the bound is loose; `python -m repro.jobs table3` checks the
         # full-scale shape (tables/claims.py).
-        assert restaurant_small_result.prf.recall >= 90.0
-        assert restaurant_small_result.prf.f1 >= 82.0
+        prf = _resolve(restaurant_small_pair)
+        assert prf.recall >= 90.0
+        assert prf.f1 >= 82.0
 
-    def test_run_minoaner_is_match_graph_over_build_graph(self, micro_pair, micro_result):
-        """``run_minoaner`` scores as Algorithm 2 + ``evaluate`` over the
-        micro graph (``micro_result``), the sharing the table harnesses do."""
+    def test_run_minoaner_is_match_graph_over_build_graph(self, micro_pair, micro_run):
+        """``run_minoaner``, which releases the blocking before Algorithm 2,
+        scores as the micro run read step by step (``micro_run``), as the
+        table harnesses read it."""
+        assert _resolve(micro_pair) == micro_run.prf
+
+    def test_holds_one_match_frame_until_released(self, spark, micro_pair):
+        """After ``run_minoaner`` the only new cache is the match frame; the
+        graph's frames are local checkpoints. ``release()`` frees the cache."""
+        persistent, cached = persistent_rdds(spark), cached_rdds(spark)
         res = run_minoaner(micro_pair.triples1, micro_pair.triples2, micro_pair.gt)
-        res.matches.unpersist()
-        assert res.prf == micro_result.prf
+        try:
+            assert len(cached_rdds(spark) - cached) == 1
+            assert res.before_r4.storageLevel.useMemory  # the one new cache
+            leaves = {_leaf_rdd(getattr(res.graph, f)) for f in EDGE_FRAMES}
+            assert leaves <= persistent_rdds(spark) - persistent
+        finally:
+            res.release()
+        assert not res.before_r4.storageLevel.useMemory
+        assert cached_rdds(spark) <= cached
 
-    def test_matches_are_cross_kb_pairs(self, micro_result, micro_pair):
+    def test_matches_are_cross_kb_pairs(self, micro_run, micro_pair):
         e1 = {r.eid for r in micro_pair.triples1.select("eid").distinct().collect()}
         e2 = {r.eid for r in micro_pair.triples2.select("eid").distinct().collect()}
-        for r in micro_result.matches.collect():
+        for r in micro_run.matches.collect():
             assert r.eid1 in e1
             assert r.eid2 in e2
 
@@ -60,20 +84,14 @@ def test_sensitivity_theta(micro_pair, micro_graph, theta):
 
 @pytest.mark.parametrize("K", [5, 25])
 def test_sensitivity_K(micro_pair, K):
-    cfg = MinoanerConfig(K=K)
-    res = run_minoaner(micro_pair.triples1, micro_pair.triples2, micro_pair.gt, cfg)
-    assert res.prf.f1 >= 75.0
+    assert _resolve(micro_pair, MinoanerConfig(K=K)).f1 >= 75.0
 
 
 @pytest.mark.parametrize("N", [1, 5])
 def test_sensitivity_N(micro_pair, N):
-    cfg = MinoanerConfig(N=N)
-    res = run_minoaner(micro_pair.triples1, micro_pair.triples2, micro_pair.gt, cfg)
-    assert res.prf.f1 >= 75.0
+    assert _resolve(micro_pair, MinoanerConfig(N=N)).f1 >= 75.0
 
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_sensitivity_k(micro_pair, k):
-    cfg = MinoanerConfig(k=k)
-    res = run_minoaner(micro_pair.triples1, micro_pair.triples2, micro_pair.gt, cfg)
-    assert res.prf.f1 >= 70.0
+    assert _resolve(micro_pair, MinoanerConfig(k=k)).f1 >= 70.0

@@ -238,7 +238,7 @@ class TestOnePass:
         run.blocking.stats(restaurant_small_pair.gt)
         _ = run.graph
         yield run
-        run.blocking.unpersist()
+        run.release()
 
     def test_graph_keeps_the_blockings_caches(self, shared_run):
         """Building the graph leaves the blocking's tokens and beta cached."""
