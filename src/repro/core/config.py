@@ -1,7 +1,9 @@
-"""MinoanER configuration (the four knobs of Section 6.1).
+"""MinoanER configuration: the four knobs of Section 6.1 and the Block
+Purging cap.
 
 Default ``(k, K, N, theta) = (2, 15, 3, 0.6)`` — the paper's suggested
-global configuration used for all Table 3/4 results.
+global configuration used for all Table 3/4 results — with the automatic
+purge cap (``purge_max_comparisons=None``).
 """
 from __future__ import annotations
 

@@ -4,17 +4,23 @@ Four schema-agnostic rules traverse the pruned disjunctive blocking
 graph; each is a single DataFrame pass (no data-driven iteration):
 
 * R1 name rule      — match pairs alone in a name block (alpha = 1).
-* R2 value rule     — per unmatched entity of the *smaller* KB, match
-                      its top-beta candidate if beta >= 1.
-* R3 rank aggregation — per unmatched node, aggregate the normalized
-                      descending ranks of its beta and gamma candidate
-                      lists with weights theta / (1 - theta); match the
-                      top aggregate candidate.
-* R4 reciprocity    — keep a match only if both directed edges exist.
+* R2 value rule     — per entity of the *smaller* KB, match its top-beta
+                      candidate if beta >= 1.
+* R3 rank aggregation — per node, aggregate the normalized descending
+                      ranks of its beta and gamma candidate lists with
+                      weights theta / (1 - theta); match the top aggregate
+                      candidate.
+* R4 reciprocity    — keep a match only if an edge leaves each side.
 
-``M(e_i,e_j) = (R1 v R2 v R3) ^ R4`` (Definition 4.1). Matches carry a
-``rule`` provenance column, from which the Table 4 ablation derives its
-variants (``tables.table4``).
+``M(e_i,e_j) = (R1 v R2 v R3) ^ R4`` (Definition 4.1). Each rule is
+computed alone (``rules_alone``). Alg. 2 runs them in order, each skipping
+the entities matched before it; that exclusion drops whole per-node
+candidate lists, and every pick is ranked within one node's list, so a
+rule with exclusion is the rule alone minus the pairs whose entity is
+already matched (``_skip_matched``). ``precedence`` applies that order
+once, and ``r4_verdict`` adds R4's verdict as a column instead of
+dropping rows, so one frame ``(eid1, eid2, rule, r4)`` holds every Table 4
+variant but R2 and R3 alone (``pipeline.MinoanerRun``, ``tables.table4``).
 """
 from __future__ import annotations
 
@@ -27,12 +33,20 @@ from .graph import BlockingGraph, top_k_directed
 _PAIR = ["eid1", "eid2"]
 
 
-def _exclude_matched(df: DataFrame, matched: DataFrame | None, col: str) -> DataFrame:
-    """Drop rows whose ``col`` entity already appears in ``matched``."""
+def _skip_matched(df: DataFrame, matched: DataFrame | None, cols: list[str]) -> DataFrame:
+    """Drop the rows of ``df`` whose entity in any of ``cols`` appears in that
+    column of ``matched``: Alg. 2's "skip the entities matched before"."""
     if matched is None:
         return df
-    seen = matched.select(col).distinct()
-    return df.join(seen, col, "left_anti")
+    out = df
+    for col in cols:
+        out = out.join(matched.select(col), col, "left_anti")
+    return out.select(*df.columns)  # a join on a column name moves it first
+
+
+def _smaller_side(g: BlockingGraph) -> str:
+    """The column of the smaller KB's entities, the ones R2 iterates."""
+    return "eid1" if g.n1 <= g.n2 else "eid2"
 
 
 def rule1(g: BlockingGraph) -> DataFrame:
@@ -41,23 +55,21 @@ def rule1(g: BlockingGraph) -> DataFrame:
 
 
 def rule2(g: BlockingGraph, matched: DataFrame | None = None) -> DataFrame:
-    """R2: top-beta candidate of each unmatched smaller-KB entity, if beta >= 1.
+    """R2: top-beta candidate of each smaller-KB entity not in ``matched``,
+    if beta >= 1.
 
     Alg. 2 lines 5-9: iterate the smaller KB for efficiency; the
     candidate is the adjacent node with maximum beta (rank 1 of the
     node's pruned beta list).
     """
-    if g.n1 <= g.n2:
-        cands = g.beta_out1.filter(F.col("rank") == 1)
-        cands = _exclude_matched(cands, matched, "eid1")
-    else:
-        cands = g.beta_out2.filter(F.col("rank") == 1)
-        cands = _exclude_matched(cands, matched, "eid2")
-    return (
-        cands.filter(F.col("beta") >= 1.0)
+    side = _smaller_side(g)
+    beta_out = g.beta_out1 if side == "eid1" else g.beta_out2
+    alone = (
+        beta_out.filter((F.col("rank") == 1) & (F.col("beta") >= 1.0))
         .select(*_PAIR)
         .withColumn("rule", F.lit("R2"))
     )
+    return _skip_matched(alone, matched, [side])
 
 
 def _rank_scores(edges: DataFrame, node: str, weight: float) -> DataFrame:
@@ -83,16 +95,18 @@ def rule3(
 ) -> DataFrame:
     """R3: threshold-free rank aggregation of value and neighbor lists.
 
-    Every unmatched node of E1 and of E2 computes its best aggregate
-    candidate, and a pair is a match only when *both* endpoints pick each
-    other — the paper's "two entities match only if both of them agree"
+    Every node of E1 and of E2 computes its best aggregate candidate, and
+    a pair is a match only when *both* endpoints pick each other — the
+    paper's "two entities match only if both of them agree"
     rationale, and the reading required for consistency with its Table 4
     (R3's precision ~= recall on KBs where most entities are unmatched is
     impossible if every unmatched node emitted its one-sided top pick, as
     a literal reading of Alg. 2 would; MinoanER also states it employs
     Unique Mapping Clustering, which mutual top-picks implement
     non-iteratively). A node's pick is its top-1 aggregate candidate by
-    ``graph.top_k_directed``, ties broken on candidate id.
+    ``graph.top_k_directed``, ties broken on candidate id. Mutual pairs
+    with ``eid1`` or ``eid2`` in ``matched`` are dropped last: a matched
+    node's lists change no other node's pick.
     """
 
     def one_direction(beta_out: DataFrame, gamma_out: DataFrame, node: str) -> DataFrame:
@@ -102,9 +116,6 @@ def rule3(
             .groupBy(*_PAIR)
             .agg(F.sum("score").alias("agg"), F.count("*").alias("_lists"))
         )
-        # Exclusion drops a matched node's whole lists, so it may follow the
-        # aggregation: the other nodes' list sizes and sums are unchanged.
-        scored = _exclude_matched(scored, matched, node)
         other = "eid2" if node == "eid1" else "eid1"
         # The winner must carry BOTH value and neighbor evidence
         # (_lists == 2): R3 exists to aggregate the two rankings — a
@@ -122,14 +133,51 @@ def rule3(
 
     d1 = one_direction(g.beta_out1, g.gamma_out1, "eid1")
     d2 = one_direction(g.beta_out2, g.gamma_out2, "eid2")
-    return d1.join(d2, _PAIR).withColumn("rule", F.lit("R3"))
+    alone = d1.join(d2, _PAIR).withColumn("rule", F.lit("R3"))
+    return _skip_matched(alone, matched, _PAIR)
+
+
+def r4_verdict(matches: DataFrame, g: BlockingGraph) -> DataFrame:
+    """``matches`` plus R4's verdict, a boolean ``r4``: an edge of ``g``
+    leaves each side of the pair (``directed_from1`` and ``directed_from2``;
+    Alg. 2 lines 24-26)."""
+    from1 = g.directed_from1().withColumn("_from1", F.lit(True))
+    from2 = g.directed_from2().withColumn("_from2", F.lit(True))
+    return (
+        matches.join(from1, _PAIR, "left")
+        .join(from2, _PAIR, "left")
+        .withColumn("r4", F.col("_from1").isNotNull() & F.col("_from2").isNotNull())
+        .drop("_from1", "_from2")
+    )
 
 
 def rule4(matches: DataFrame, g: BlockingGraph) -> DataFrame:
     """R4: keep only reciprocally connected matches (Alg. 2 lines 24-26)."""
-    return matches.join(g.directed_from1(), _PAIR, "left_semi").join(
-        g.directed_from2(), _PAIR, "left_semi"
+    return r4_verdict(matches, g).filter(F.col("r4")).drop("r4")
+
+
+def rules_alone(g: BlockingGraph, theta: float) -> tuple[DataFrame, DataFrame, DataFrame]:
+    """R1, R2 and R3, each alone over ``g``: ``(eid1, eid2, rule)`` frames.
+
+    R2 and R3 are eager local checkpoints, so what reads them plans over
+    leaves rather than over the rules' windows and joins. R1 needs none:
+    it is a projection of the alpha leaf.
+    """
+    return (
+        rule1(g),
+        rule2(g).localCheckpoint(),
+        rule3(g, theta=theta).localCheckpoint(),
     )
+
+
+def precedence(g: BlockingGraph, r1: DataFrame, r2: DataFrame, r3: DataFrame) -> DataFrame:
+    """Alg. 2's order over the rules alone: R1, then R2 skipping R1's
+    entities, then R3 skipping those of R1 and R2. Returns their union,
+    ``(eid1, eid2, rule)``; no pair comes from two rules, none twice."""
+    matched = r1.select(*_PAIR)
+    r2 = _skip_matched(r2, matched, [_smaller_side(g)])
+    r3 = _skip_matched(r3, matched.union(r2.select(*_PAIR)), _PAIR)
+    return r1.unionByName(r2).unionByName(r3)
 
 
 def match_graph(
@@ -137,18 +185,8 @@ def match_graph(
 ) -> DataFrame:
     """Algorithm 2 end to end: ``(R1 v R2 v R3) ^ R4``, or without R4.
 
-    Returns ``(eid1, eid2, rule)``. Rules run in order, each skipping
-    entities matched by earlier rules, so no pair comes from two rules and
-    none twice from one; R4 filters the union. R2's and R3's outputs are
-    eager local checkpoints, so later rules and the ``matched`` exclusions
-    plan over leaves rather than over the rules before them. R1 needs
-    none: it is a projection of the alpha leaf. The Table 4 ablation
-    derives its variants from one run with ``use_r4=False``.
+    Returns ``(eid1, eid2, rule)``: the rules alone (``rules_alone``) in
+    Alg. 2's ``precedence``, then R4's filter unless ``use_r4=False``.
     """
-    r1 = rule1(g)
-    matched = r1.select(*_PAIR)
-    r2 = rule2(g, matched).localCheckpoint()
-    matched = matched.union(r2.select(*_PAIR))
-    r3 = rule3(g, matched, theta).localCheckpoint()
-    matches = r1.unionByName(r2).unionByName(r3)
+    matches = precedence(g, *rules_alone(g, theta))
     return rule4(matches, g) if use_r4 else matches

@@ -1,22 +1,26 @@
 """End-to-end MinoanER pipeline: blocking, blocking graph, matching, scoring.
 
 :class:`MinoanerRun` is the one chain of ``composite_blocking``, Algorithm 1
-(``build_graph``), Algorithm 2 (``match_graph``) and ``evaluate`` for a KB
-pair; the table harnesses read one run per profile (``tables.pairs``).
-``run_minoaner`` is its one-call form, as perfbench and the tests use it.
-Only final P/R/F1 counts are collected to the driver.
+(``build_graph``), Algorithm 2 and ``evaluate`` for a KB pair; the table
+harnesses read one run per profile (``tables.pairs``). Algorithm 2 runs
+once: the rules alone (``matching.rules_alone``), put in order once
+(``matching.precedence``), with R4's verdict as a column
+(``matching.r4_verdict``). ``run_minoaner`` is its one-call form, as
+perfbench and the tests use it. Only final P/R/F1 counts are collected to
+the driver.
 """
 from __future__ import annotations
 
 from functools import cached_property
 
 from pyspark.sql import DataFrame
+from pyspark.sql import functions as F
 
 from .blocking import Blocking, composite_blocking
 from .config import DEFAULT_CONFIG, MinoanerConfig
 from .evaluation import PRF, evaluate
 from .graph import BlockingGraph, build_graph
-from .matching import match_graph, rule4
+from .matching import precedence, r4_verdict, rules_alone
 
 
 class MinoanerRun:
@@ -36,23 +40,35 @@ class MinoanerRun:
         return build_graph(self.blocking)
 
     @cached_property
+    def rules(self) -> tuple[DataFrame, DataFrame, DataFrame]:
+        """R1, R2 and R3, each alone: ``(eid1, eid2, rule)``; R2 and R3 are
+        local checkpoints."""
+        return rules_alone(self.graph, self.cfg.theta)
+
+    @cached_property
+    def verdicts(self) -> DataFrame:
+        """``(eid1, eid2, rule, r4)``: R1-R3 in Alg. 2's order, each pair with
+        R4's verdict. Cached: the run's one match frame."""
+        return r4_verdict(precedence(self.graph, *self.rules), self.graph).cache()
+
+    @cached_property
     def before_r4(self) -> DataFrame:
-        """R1-R3: ``(eid1, eid2, rule)``, cached."""
-        return match_graph(self.graph, self.cfg.theta, use_r4=False).cache()
+        """R1-R3: ``(eid1, eid2, rule)``."""
+        return self.verdicts.drop("r4")
 
     @cached_property
     def matches(self) -> DataFrame:
         """``(R1 v R2 v R3) ^ R4``: ``(eid1, eid2, rule)``."""
-        return rule4(self.before_r4, self.graph)
+        return self.verdicts.filter(F.col("r4")).drop("r4")
 
     @cached_property
     def prf(self) -> PRF:
         return evaluate(self.matches, self.gt)
 
     def release(self) -> None:
-        """Unpersist ``before_r4`` and the ``Blocking``, those that were built."""
-        if "before_r4" in self.__dict__:
-            self.before_r4.unpersist()
+        """Unpersist ``verdicts`` and the ``Blocking``, those that were built."""
+        if "verdicts" in self.__dict__:
+            self.verdicts.unpersist()
         if "blocking" in self.__dict__:
             self.blocking.unpersist()
 

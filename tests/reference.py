@@ -2,7 +2,8 @@
 
 Deliberately simple (dicts and loops, no Spark) so Spark results can be
 cross-checked on small inputs. Mirrors Definitions 2.1-2.5 and the
-importance statistics verbatim.
+importance statistics verbatim, and Algorithm 2's rules R1-R4, their order
+and Table 4's variants over the pruned graph's collected frames.
 """
 from __future__ import annotations
 
@@ -175,3 +176,107 @@ def gamma_scores(
             for c in topin2.get(e2, ()):
                 g[(a, c)] += b
     return dict(g)
+
+
+# --- Algorithm 2 over the collected graph frames ----------------------------
+# An edge list is the rows of one of ``BlockingGraph``'s five frames,
+# ``(eid1, eid2[, weight, rank])``; ranks are recomputed from the weights.
+
+Pair = tuple[int, int]
+
+
+def _best(scored: dict[Pair, float], node: int) -> dict[int, Pair]:
+    """Entity on side ``node`` (0: eid1, 1: eid2) -> its pair with the highest
+    score, ties on the other entity's id ascending."""
+    best: dict[int, tuple[tuple[float, int], Pair]] = {}
+    for pair, s in scored.items():
+        key = (-s, pair[1 - node])
+        if pair[node] not in best or key < best[pair[node]][0]:
+            best[pair[node]] = (key, pair)
+    return {e: pair for e, (_, pair) in best.items()}
+
+
+def _rank_scores(edges: list[tuple], node: int, weight: float) -> dict[Pair, float]:
+    """``weight * (L - r + 1) / L`` per pair, r its 1-based rank in the list of
+    length L of its side-``node`` entity (weight desc, other id asc)."""
+    lists: dict[int, list[tuple[tuple[float, int], Pair]]] = defaultdict(list)
+    for e in edges:
+        pair = (e[0], e[1])
+        lists[pair[node]].append(((-e[2], pair[1 - node]), pair))
+    out = {}
+    for cands in lists.values():
+        size = len(cands)
+        for r, (_, pair) in enumerate(sorted(cands), 1):
+            out[pair] = weight * (size - r + 1) / size
+    return out
+
+
+def rule2_alone(beta_out1: list[tuple], beta_out2: list[tuple], n1: int, n2: int) -> set[Pair]:
+    """R2: each entity of the smaller KB (KB1 on a tie) matches its rank-1
+    beta candidate if that beta is >= 1."""
+    node, edges = (0, beta_out1) if n1 <= n2 else (1, beta_out2)
+    beta = {(e[0], e[1]): e[2] for e in edges}
+    return {pair for pair in _best(beta, node).values() if beta[pair] >= 1.0}
+
+
+def rule3_alone(
+    beta_out1: list[tuple],
+    beta_out2: list[tuple],
+    gamma_out1: list[tuple],
+    gamma_out2: list[tuple],
+    theta: float,
+) -> set[Pair]:
+    """R3: each node picks its best candidate by ``theta`` x its beta-list
+    rank score + ``1 - theta`` x its gamma-list rank score; a pick counts
+    only if the candidate is in both lists, and a pair matches only if each
+    side picks the other."""
+    picks = []
+    for node, beta_out, gamma_out in ((0, beta_out1, gamma_out1), (1, beta_out2, gamma_out2)):
+        value = _rank_scores(beta_out, node, theta)
+        neighbor = _rank_scores(gamma_out, node, 1.0 - theta)
+        agg = {p: value.get(p, 0.0) + neighbor.get(p, 0.0) for p in value.keys() | neighbor.keys()}
+        picks.append({p for p in _best(agg, node).values() if p in value and p in neighbor})
+    return picks[0] & picks[1]
+
+
+def alg2(
+    alpha: list[tuple],
+    beta_out1: list[tuple],
+    beta_out2: list[tuple],
+    gamma_out1: list[tuple],
+    gamma_out2: list[tuple],
+    n1: int,
+    n2: int,
+    theta: float,
+) -> tuple[dict[Pair, tuple[str, bool]], dict[str, dict[Pair, str]]]:
+    """Algorithm 2: ``({pair: (rule, r4)}, {variant: {pair: rule}})``.
+
+    R1 is every alpha edge. R2 skips the smaller-KB entities R1 matched, R3
+    the entities R1 or R2 matched on either side; the first dict holds each
+    pair they match, its rule and R4's verdict: an edge leaves each side
+    (alpha, beta_out1 or gamma_out1 has the pair, and alpha, beta_out2 or
+    gamma_out2 has it). The second holds Table 4's six variants: ``R1``,
+    ``R2`` and ``R3`` alone, ``no_R4``, ``no_neighbors`` (R1, R2, then R4)
+    and ``full``.
+    """
+    r1 = {(e[0], e[1]) for e in alpha}
+    r2 = rule2_alone(beta_out1, beta_out2, n1, n2)
+    r3 = rule3_alone(beta_out1, beta_out2, gamma_out1, gamma_out2, theta)
+    side = 0 if n1 <= n2 else 1
+    ruled = {p: "R1" for p in r1}
+    taken = {p[side] for p in ruled}
+    ruled.update({p: "R2" for p in r2 if p[side] not in taken})
+    taken1, taken2 = {p[0] for p in ruled}, {p[1] for p in ruled}
+    ruled.update({p: "R3" for p in r3 if p[0] not in taken1 and p[1] not in taken2})
+    from1 = r1 | {(e[0], e[1]) for e in beta_out1 + gamma_out1}
+    from2 = r1 | {(e[0], e[1]) for e in beta_out2 + gamma_out2}
+    verdicts = {p: (rule, p in from1 and p in from2) for p, rule in ruled.items()}
+    kept = {p: rule for p, (rule, r4) in verdicts.items() if r4}
+    return verdicts, {
+        "R1": {p: "R1" for p in r1},
+        "R2": {p: "R2" for p in r2},
+        "R3": {p: "R3" for p in r3},
+        "no_R4": ruled,
+        "no_neighbors": {p: rule for p, rule in kept.items() if rule != "R3"},
+        "full": kept,
+    }

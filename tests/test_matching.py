@@ -10,10 +10,14 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core import DEFAULT_CONFIG
+from tests import reference
+from tests.test_graph import EDGE_FRAMES
+from repro.core import DEFAULT_CONFIG, MinoanerRun
 from repro.core.graph import BlockingGraph
 from repro.core.matching import match_graph, rule1, rule2, rule3, rule4
 from repro.tables.table4 import ablations
+
+VARIANTS = ["R1", "R2", "R3", "no_R4", "no_neighbors", "full"]
 
 BETA_COLS = ["eid1", "eid2", "beta", "rank"]
 GAMMA_COLS = ["eid1", "eid2", "gamma", "rank"]
@@ -176,7 +180,9 @@ class TestRule3:
             g1=[(1, 11, 3.0, 1)],
             g2=[(1, 11, 3.0, 1)],
         )
-        assert rule3(g, matched=rule1(g)).count() == 0
+        skipped = rule3(g, matched=rule1(g))
+        assert skipped.count() == 0
+        assert skipped.columns == ["eid1", "eid2", "rule"]
 
     def test_normalized_rank_scores(self, spark):
         """With theta=0.6: cand A rank1-of-2 in value (0.6), rank2-of-2 in
@@ -245,12 +251,10 @@ class TestMatchGraph:
 
     @pytest.fixture(scope="class")
     def variants(self, micro_run):
-        """Table 4's variant frames on micro, derived from the run before R4."""
+        """Table 4's variant frames on micro, read from the run's frames."""
         return {**ablations(micro_run), "full": micro_run.matches}
 
-    @pytest.mark.parametrize(
-        "variant", ["R1", "R2", "R3", "no_R4", "no_neighbors", "full"]
-    )
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_no_pair_twice(self, variants, variant):
         """Each rule skips the entities matched before it, so the union
         needs no dedupe: every row is a distinct pair."""
@@ -258,14 +262,21 @@ class TestMatchGraph:
         assert m.count() == m.select("eid1", "eid2").distinct().count()
 
     def test_variants_are_the_rules(self, micro_graph, variants):
-        """The derived variants are the rules they stand for."""
-        assert ruled(variants["R1"]) == ruled(rule1(micro_graph))
-        assert ruled(variants["full"]) == ruled(
-            match_graph(micro_graph, DEFAULT_CONFIG.theta)
-        )
-        r1 = rule1(micro_graph)
-        r12 = r1.unionByName(rule2(micro_graph, r1.select("eid1", "eid2")))
-        assert ruled(variants["no_neighbors"]) == ruled(rule4(r12, micro_graph))
+        """Each variant, read from the run's frames, is the call of the
+        public rules it stands for."""
+        g = micro_graph
+        r1 = rule1(g)
+        r12 = r1.unionByName(rule2(g, r1.select("eid1", "eid2")))
+        calls = {
+            "R1": r1,
+            "R2": rule2(g),
+            "R3": rule3(g),
+            "no_R4": match_graph(g, use_r4=False),
+            "no_neighbors": rule4(r12, g),
+            "full": match_graph(g),
+        }
+        for variant, call in calls.items():
+            assert ruled(variants[variant]) == ruled(call), variant
 
     def test_r4_keeps_every_r1_and_r3_match(self, micro_graph, variants):
         """Why R4 removes nothing here (DESIGN section 5): alpha edges point
@@ -283,3 +294,42 @@ class TestMatchGraph:
     def test_rules_cover_output(self, micro_run):
         rules = {r.rule for r in micro_run.matches.select("rule").distinct().collect()}
         assert rules <= {"R1", "R2", "R3"}
+
+
+@pytest.fixture(scope="module")
+def restaurant_small_run(restaurant_small_pair):
+    pair = restaurant_small_pair
+    run = MinoanerRun(pair.triples1, pair.triples2, pair.gt, DEFAULT_CONFIG)
+    yield run
+    run.release()
+
+
+class TestAlg2Oracle:
+    """A run's verdict frame, its ``matches`` and Table 4's six variants equal
+    the pure-Python Algorithm 2 (``reference.alg2``) over the run's collected
+    graph frames."""
+
+    @pytest.fixture(scope="class", params=["micro_run", "restaurant_small_run"])
+    def checked(self, request):
+        run = request.getfixturevalue(request.param)
+        g = run.graph
+        frames = ([tuple(r) for r in getattr(g, f).collect()] for f in EDGE_FRAMES)
+        verdicts, variants = reference.alg2(*frames, g.n1, g.n2, run.cfg.theta)
+        return run, verdicts, variants
+
+    def test_verdict_rows(self, checked):
+        run, verdicts, variants = checked
+        assert all(variants[rule] for rule in ("R1", "R2", "R3"))  # no vacuous check
+        rows = run.verdicts.collect()
+        assert len(rows) == len(verdicts)  # no pair twice
+        assert {(r.eid1, r.eid2): (r.rule, r.r4) for r in rows} == verdicts
+
+    def test_matches(self, checked):
+        run, _, variants = checked
+        assert ruled(run.matches) == sorted((*p, rule) for p, rule in variants["full"].items())
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_table4_variant(self, checked, variant):
+        run, _, variants = checked
+        frames = {**ablations(run), "full": run.matches}
+        assert ruled(frames[variant]) == sorted((*p, rule) for p, rule in variants[variant].items())

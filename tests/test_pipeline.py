@@ -15,6 +15,15 @@ from repro.core import DEFAULT_CONFIG, MinoanerConfig, evaluate, run_minoaner
 from repro.core.matching import match_graph
 
 
+def _plan_nodes(plan) -> list[str]:
+    """Node names of a logical plan, outside any cached relation (an
+    ``InMemoryRelation`` is a leaf)."""
+    children = plan.children()
+    return [plan.nodeName()] + [
+        n for i in range(children.size()) for n in _plan_nodes(children.apply(i))
+    ]
+
+
 def _resolve(pair, cfg: MinoanerConfig = DEFAULT_CONFIG):
     """``run_minoaner`` on ``pair``; returns the run's P/R/F1 and releases it."""
     res = run_minoaner(pair.triples1, pair.triples2, pair.gt, cfg)
@@ -42,19 +51,29 @@ class TestEndToEnd:
         assert _resolve(micro_pair) == micro_run.prf
 
     def test_holds_one_match_frame_until_released(self, spark, micro_pair):
-        """After ``run_minoaner`` the only new cache is the match frame; the
-        graph's frames are local checkpoints. ``release()`` frees the cache."""
+        """After ``run_minoaner`` the only new cache is the verdict frame; the
+        graph's frames and the rules alone are local checkpoints.
+        ``release()`` frees the cache."""
         persistent, cached = persistent_rdds(spark), cached_rdds(spark)
         res = run_minoaner(micro_pair.triples1, micro_pair.triples2, micro_pair.gt)
         try:
             assert len(cached_rdds(spark) - cached) == 1
-            assert res.before_r4.storageLevel.useMemory  # the one new cache
+            assert res.verdicts.storageLevel.useMemory  # the one new cache
             leaves = {_leaf_rdd(getattr(res.graph, f)) for f in EDGE_FRAMES}
+            leaves |= {_leaf_rdd(rule) for rule in res.rules[1:]}  # R2, R3
             assert leaves <= persistent_rdds(spark) - persistent
         finally:
             res.release()
-        assert not res.before_r4.storageLevel.useMemory
+        assert not res.verdicts.storageLevel.useMemory
         assert cached_rdds(spark) <= cached
+
+    def test_matches_reread_plans_over_the_cache(self, micro_run):
+        """Once ``prf`` has read them, the run's ``matches`` plan over the
+        cached verdict frame: R4's joins do not run again."""
+        micro_run.prf
+        nodes = _plan_nodes(micro_run.matches._jdf.queryExecution().withCachedData())
+        assert "InMemoryRelation" in nodes
+        assert not [n for n in nodes if "Join" in n]
 
     def test_matches_are_cross_kb_pairs(self, micro_run, micro_pair):
         e1 = {r.eid for r in micro_pair.triples1.select("eid").distinct().collect()}
