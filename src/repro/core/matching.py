@@ -159,15 +159,11 @@ def rule4(matches: DataFrame, g: BlockingGraph) -> DataFrame:
 def rules_alone(g: BlockingGraph, theta: float) -> tuple[DataFrame, DataFrame, DataFrame]:
     """R1, R2 and R3, each alone over ``g``: ``(eid1, eid2, rule)`` frames.
 
-    R2 and R3 are eager local checkpoints, so what reads them plans over
-    leaves rather than over the rules' windows and joins. R1 needs none:
-    it is a projection of the alpha leaf.
+    R1 and R2 are projections of one graph leaf each (alpha, and the
+    smaller KB's beta list). R3, with its windows and joins, is an eager
+    local checkpoint, so what reads it plans over a leaf too.
     """
-    return (
-        rule1(g),
-        rule2(g).localCheckpoint(),
-        rule3(g, theta=theta).localCheckpoint(),
-    )
+    return rule1(g), rule2(g), rule3(g, theta=theta).localCheckpoint()
 
 
 def precedence(g: BlockingGraph, r1: DataFrame, r2: DataFrame, r3: DataFrame) -> DataFrame:

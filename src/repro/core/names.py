@@ -9,7 +9,7 @@ relations.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
 from .relations import harmonic_mean
@@ -95,16 +95,18 @@ def alpha_edges(names1: DataFrame, names2: DataFrame) -> DataFrame:
 
     Per Section 3.2, alpha is 1 only when the name block has size 2 —
     exactly one entity per KB carries that name ("they, and only they,
-    have the same name").
+    have the same name"). Each input holds one row per distinct
+    ``(eid, name)``, as ``entity_names`` returns, so a name's rows in a KB
+    are its holders; a pair that shares two such names is returned once.
     """
-    idx = name_block_index(names1, names2).filter(
-        (F.col("cnt1") == 1) & (F.col("cnt2") == 1)
-    )
+
+    def held_once(names: DataFrame, eid: str) -> DataFrame:
+        holders = names.withColumn("_n", F.count("*").over(Window.partitionBy("name")))
+        return holders.filter(F.col("_n") == 1).select("name", F.col("eid").alias(eid))
+
     return (
-        idx.join(names1, "name")
-        .withColumnRenamed("eid", "eid1")
-        .join(names2, "name")
-        .withColumnRenamed("eid", "eid2")
+        held_once(names1, "eid1")
+        .join(held_once(names2, "eid2"), "name")
         .select("eid1", "eid2")
         .distinct()
     )

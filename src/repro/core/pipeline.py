@@ -41,8 +41,8 @@ class MinoanerRun:
 
     @cached_property
     def rules(self) -> tuple[DataFrame, DataFrame, DataFrame]:
-        """R1, R2 and R3, each alone: ``(eid1, eid2, rule)``; R2 and R3 are
-        local checkpoints."""
+        """R1, R2 and R3, each alone: ``(eid1, eid2, rule)``; R3 is a local
+        checkpoint, R1 and R2 project graph leaves."""
         return rules_alone(self.graph, self.cfg.theta)
 
     @cached_property

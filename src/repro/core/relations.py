@@ -56,23 +56,18 @@ def top_n_neighbors(triples: DataFrame, n: int, importance: DataFrame) -> DataFr
     """``(eid, neighbor)`` — objects of each entity's N most important relations.
 
     The N relations are chosen *per entity* among the relations it
-    actually uses, ordered by the KB-global importance score (ties break
-    on relation name for determinism). All objects of those relations
-    are kept, matching ``topNneighbors`` of Definition 2.4. ``importance``
-    is the KB's ``relation_importance``.
+    actually uses, ordered by the KB-global importance score (``importance``
+    is the KB's ``relation_importance``), ties broken on relation name. One
+    ``dense_rank`` over the entity's edges ranks them: all edges of one
+    relation share its order key, so an edge's rank is its relation's. All
+    objects of the N relations are kept, as ``topNneighbors`` of Definition 2.4.
     """
-    edges = relation_edges(triples)
-    ent_rels = edges.select("eid", "rel").distinct().join(
-        importance.select("rel", "importance"), "rel"
-    )
     w = Window.partitionBy("eid").orderBy(F.desc("importance"), F.asc("rel"))
-    top_rels = (
-        ent_rels.withColumn("rk", F.row_number().over(w))
-        .filter(F.col("rk") <= n)
-        .select("eid", "rel")
-    )
     return (
-        edges.join(top_rels, ["eid", "rel"])
+        relation_edges(triples)
+        .join(importance.select("rel", "importance"), "rel")
+        .withColumn("rk", F.dense_rank().over(w))
+        .filter(F.col("rk") <= n)
         .select("eid", F.col("obj").alias("neighbor"))
         .distinct()
     )

@@ -183,6 +183,14 @@ class TestNameBlocks:
         pairs = {(r.eid1, r.eid2) for r in alpha_edges(n1, n2).collect()}
         assert pairs == {(1, 11)}  # "popular" block is 2x1 -> excluded
 
+    def test_alpha_pair_with_two_unique_names_once(self, spark):
+        """An entity with two names, each held only by it in KB1 and only by
+        one entity in KB2, gives that alpha pair once."""
+        k1 = kb(spark, [(1, "a:name", "first", None), (1, "a:name", "second", None)])
+        k2 = kb(spark, [(11, "b:name", "First", None), (11, "b:name", "second", None)])
+        got = alpha_edges(entity_names(k1, ["a:name"]), entity_names(k2, ["b:name"]))
+        assert [(r.eid1, r.eid2) for r in got.collect()] == [(1, 11)]
+
     def test_name_pairs_all_cooccurrences(self, spark):
         n1, n2 = self._two_kbs(spark)
         pairs = {(r.eid1, r.eid2) for r in name_pairs(n1, n2).collect()}

@@ -52,16 +52,22 @@ class TestEndToEnd:
 
     def test_holds_one_match_frame_until_released(self, spark, micro_pair):
         """After ``run_minoaner`` the only new cache is the verdict frame; the
-        graph's frames and the rules alone are local checkpoints.
+        graph's frames and R3 alone are local checkpoints, and R2 alone
+        plans over one leaf, the smaller KB's beta list checkpoint.
         ``release()`` frees the cache."""
         persistent, cached = persistent_rdds(spark), cached_rdds(spark)
         res = run_minoaner(micro_pair.triples1, micro_pair.triples2, micro_pair.gt)
         try:
             assert len(cached_rdds(spark) - cached) == 1
             assert res.verdicts.storageLevel.useMemory  # the one new cache
-            leaves = {_leaf_rdd(getattr(res.graph, f)) for f in EDGE_FRAMES}
-            leaves |= {_leaf_rdd(rule) for rule in res.rules[1:]}  # R2, R3
+            g = res.graph
+            leaves = {_leaf_rdd(getattr(g, f)) for f in EDGE_FRAMES}
+            leaves.add(_leaf_rdd(res.rules[2]))  # R3
             assert leaves <= persistent_rdds(spark) - persistent
+            r2_leaves = res.rules[1]._jdf.queryExecution().analyzed().collectLeaves()
+            beta = g.beta_out1 if g.n1 <= g.n2 else g.beta_out2
+            assert r2_leaves.size() == 1
+            assert r2_leaves.apply(0).rdd().id() == _leaf_rdd(beta)
         finally:
             res.release()
         assert not res.verdicts.storageLevel.useMemory

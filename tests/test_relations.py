@@ -121,6 +121,27 @@ class TestTopNeighbors:
             ref = reference.top_n_neighbors(micro_pair.pdf1, n)
             assert got == ref
 
+    def test_importance_tie_at_the_cut_breaks_on_relation_name(self, spark):
+        """Two relations of equal instance and distinct-object counts, so of
+        equal importance, both used twice by entity 1: with N = 1 it keeps
+        both objects of the relation whose name sorts first, with N = 2 all
+        four."""
+        k = kb(
+            spark,
+            [
+                (1, "a:b", None, 20),
+                (1, "a:b", None, 21),
+                (1, "a:a", None, 10),
+                (1, "a:a", None, 11),
+            ],
+        )
+        imp = {r.rel: r.importance for r in relation_importance(k, n_entities(k)).collect()}
+        assert imp["a:a"] == imp["a:b"]
+        for n, want in ((1, {10, 11}), (2, {10, 11, 20, 21})):
+            got = {(r.eid, r.neighbor) for r in top_neighbors(k, n).collect()}
+            assert got == {(1, o) for o in want}
+            assert reference.top_n_neighbors(k.toPandas(), n) == {1: want}
+
     def test_in_neighbors_is_reverse(self, spark, relkb):
         top = top_neighbors(relkb, 2)
         inn = top_in_neighbors(top)
